@@ -5,11 +5,11 @@ common-mode rejection, Allan stability and the time-bandwidth product.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .extraction import QuadratureBatch
+from .extraction import QuadratureBatch, write_csv
 
 __all__ = [
     "NoiseCurve",
@@ -104,15 +104,8 @@ class DetectorReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "snr_db": self.snr_db,
-            "eta_en": self.eta_en,
-            "eta_pd": self.eta_pd,
-            "eta_bhd": self.eta_bhd,
-            "bandwidth_hz": self.bandwidth_hz,
+            **asdict(self),
             "cc": [{"m": int(m), "cc": v, "std": s} for m, v, s in self.cc],
-            "cmrr_db": self.cmrr_db,
-            "stability_interval_s": self.stability_interval_s,
-            "tbp": self.tbp,
         }
 
 
@@ -304,30 +297,20 @@ def time_bandwidth_product(bandwidth_hz: float, stability_interval_s: float) -> 
     return bandwidth_hz * stability_interval_s
 
 
-def _write_rows(path, header: str, columns) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
-
 def write_noise_curve_csv(curve: NoiseCurve, path) -> None:
-    _write_rows(path, "power_w,variance", (curve.points[:, 0], curve.points[:, 1]))
+    write_csv(path, "power_w,variance", curve.points.T)
 
 
 def write_allan_csv(curve: AllanCurve, path) -> None:
-    _write_rows(path, "tau_s,allan_dev", (curve.taus, curve.deviations))
+    write_csv(path, "tau_s,allan_dev", (curve.taus, curve.deviations))
 
 
 def write_spectrum_csv(spectrum: SpectrumEstimate, path) -> None:
-    _write_rows(path, "freq_hz,psd", (spectrum.freqs, spectrum.psd))
+    write_csv(path, "freq_hz,psd", (spectrum.freqs, spectrum.psd))
 
 
 def write_cc_csv(cc_rows, path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("m,cc,std\n")
-        for m, v, s in cc_rows:
-            fh.write(f"{int(m)},{repr(float(v))},{repr(float(s))}\n")
+    write_csv(path, "m,cc,std", zip(*cc_rows))
 
 
 def report_to_json(report: DetectorReport) -> str:

@@ -15,7 +15,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -41,7 +42,8 @@ from .characterization import (
 )
 from .detector import (
     DetectorConfig,
-    DriftModel,
+    _child_seed,
+    _seeded_rng,
     electronic_only_trace,
     generate_trace,
     single_diode_trace,
@@ -58,9 +60,9 @@ from .extraction import (
 )
 from .states import (
     StateModel,
-    coherent_amplitudes,
     fidelity_pure,
     photon_statistics,
+    pure_state_vector,
     wigner,
 )
 from .tomography import (
@@ -118,7 +120,7 @@ class TomographyOptions:
     def __post_init__(self):
         if self.cutoff < 2:
             raise ConfigError("tomography cutoff must be at least 2")
-        if self.bin_width <= 0 or self.tol <= 0 or self.max_iter < 1:
+        if not (self.bin_width > 0 and self.tol > 0 and self.max_iter >= 1):
             raise ConfigError("bin_width, tol and max_iter must be positive")
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("tomography eta must lie in (0, 1]")
@@ -131,7 +133,7 @@ class PhaseSchedule:
 
     kind: str = "constant"
     value: float = 0.0
-    values: tuple = ()
+    values: tuple[float, ...] = ()
     count: int = 7
     start: float = 0.0
     span: float = math.pi
@@ -143,6 +145,8 @@ class PhaseSchedule:
             raise ConfigError("phase list must not be empty")
         if self.kind == "sweep" and self.count < 1:
             raise ConfigError("sweep count must be at least 1")
+        if not np.all(np.isfinite([self.value, self.start, self.span, *self.values])):
+            raise ConfigError("phases must be finite")
 
     def realize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.kind == "constant":
@@ -179,77 +183,55 @@ class ExperimentConfig:
             raise ConfigError(f"run must be one of {RUN_KINDS}")
         if self.n_pulses < 1:
             raise ConfigError("n_pulses must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = set(section) - allowed
+def _coerce(hint, value, where: str):
+    """Coerce one JSON value to the resolved annotation ``hint``."""
+    if is_dataclass(hint):
+        return _from_json(hint, value, where)
+    args = typing.get_args(hint)
+    if type(None) in args:  # X | None
+        return None if value is None else _coerce(args[0], value, where)
+    if typing.get_origin(hint) is tuple:  # tuple[X, ...]
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list")
+        return tuple(_coerce(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if hint is complex and isinstance(value, list) and len(value) == 2:
+        return complex(*(_coerce(float, v, where) for v in value))
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    accepts = {
+        int: ("an integer", number and (isinstance(value, int) or value.is_integer())),
+        float: ("a number", number),
+        complex: ("a number or [re, im]", number),
+        str: ("a string", isinstance(value, str)),
+    }
+    what, ok = accepts[hint]
+    if not ok:
+        raise ConfigError(f"{where} must be {what}, not {value!r:.40}")
+    return hint(value)
+
+
+def _from_json(cls, section, where: str):
+    """Build the dataclass ``cls`` from the JSON object ``section``.
+
+    The allowed keys are the field names, each value is coerced by its
+    field's annotation, and every fault, including one raised by the class's
+    own validation, becomes one ConfigError naming the dotted path ``where``.
+    """
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = set(section) - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"unknown key(s) in {where}: {', '.join(sorted(unknown))}")
-
-
-def _parse_detector(section: dict) -> DetectorConfig:
-    _check_keys(
-        section,
-        {
-            "f_rep",
-            "wavelength",
-            "p_lo",
-            "eta_pd",
-            "gain",
-            "fwhm_pulse",
-            "sample_rate",
-            "elec_noise_area_var",
-            "cmrr_db",
-            "pulse_shape",
-            "drift",
-        },
-        "detector",
-    )
-    kwargs = dict(section)
-    drift = kwargs.pop("drift", None)
-    if drift is not None:
-        _check_keys(drift, {"linear_rate", "random_walk_sigma"}, "detector.drift")
-        kwargs["drift"] = DriftModel(**drift)
+    hints = typing.get_type_hints(cls)
     try:
-        return DetectorConfig(**kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid detector config: {exc}") from exc
-
-
-def _parse_state(section: dict, where: str = "state") -> StateModel:
-    _check_keys(section, {"kind", "alpha", "n", "weights", "components", "efficiency"}, where)
-    kind = section.get("kind", "vacuum")
-    eff = float(section.get("efficiency", 1.0))
-    try:
-        if kind == "vacuum":
-            return StateModel.vacuum(efficiency=eff)
-        if kind == "coherent":
-            alpha = section.get("alpha", 0.0)
-            if isinstance(alpha, (list, tuple)):
-                alpha = complex(alpha[0], alpha[1])
-            return StateModel.coherent(alpha, efficiency=eff)
-        if kind == "fock":
-            return StateModel.fock(int(section.get("n", 0)), efficiency=eff)
-        if kind == "mixture":
-            comps = tuple(
-                _parse_state(c, f"{where}.components[{i}]")
-                for i, c in enumerate(section.get("components", ()))
-            )
-            return StateModel.mixture(section.get("weights", ()), comps, efficiency=eff)
-    except (TypeError, ValueError, IndexError) as exc:
+        return cls(**{k: _coerce(hints[k], v, f"{where}.{k}") for k, v in section.items()})
+    except ConfigError:
+        raise
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
-    raise ConfigError(f"unknown state kind {kind!r}")
-
-
-def _parse_phases(section: dict) -> PhaseSchedule:
-    _check_keys(section, {"kind", "value", "values", "count", "start", "span"}, "phases")
-    kwargs = dict(section)
-    if "values" in kwargs:
-        kwargs["values"] = tuple(float(v) for v in kwargs["values"])
-    try:
-        return PhaseSchedule(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid phases config: {exc}") from exc
 
 
 def load_config(
@@ -264,64 +246,33 @@ def load_config(
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    _check_keys(
-        doc,
-        {"run", "seed", "out_dir", "n_pulses", "detector", "state", "phases", "tomography"},
-        "config",
-    )
-    cfg_run = doc.get("run", run)
-    if cfg_run is None:
-        raise ConfigError("config has no 'run' and no subcommand was given")
+    cfg_run = doc.setdefault("run", run)
     if run is not None and cfg_run != run:
         raise ConfigError(f"config run {cfg_run!r} does not match subcommand {run!r}")
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
-    out_dir = out_override if out_override is not None else doc.get("out_dir", ".")
-    n_pulses = int(doc.get("n_pulses", DEFAULT_N_PULSES.get(cfg_run, 100)))
-    try:
-        tomo = TomographyOptions(**doc.get("tomography", {}))
-    except TypeError as exc:
-        raise ConfigError(f"invalid tomography options: {exc}") from exc
-    _check_keys(
-        doc.get("tomography", {}),
-        {"cutoff", "bin_width", "tol", "max_iter", "eta"},
-        "tomography",
-    )
-    return ExperimentConfig(
-        run=cfg_run,
-        detector=_parse_detector(doc.get("detector", {})),
-        state=_parse_state(doc.get("state", {"kind": "vacuum"})),
-        phases=_parse_phases(doc.get("phases", {"kind": "constant"})),
-        n_pulses=n_pulses,
-        seed=seed,
-        out_dir=str(out_dir),
-        tomography=tomo,
-    )
+    if cfg_run not in RUN_KINDS:
+        raise ConfigError(f"config.run must be one of {RUN_KINDS}")
+    if seed_override is not None:
+        doc["seed"] = seed_override
+    if out_override is not None:
+        doc["out_dir"] = out_override
+    doc.setdefault("n_pulses", DEFAULT_N_PULSES[cfg_run])
+    return _from_json(ExperimentConfig, doc, "config")
 
 
-def _child_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
+def _atomic(out: str, name: str, write_fn, *args) -> None:
+    """Write artifact ``name`` into ``out`` by ``write_fn(*args, tmp)`` and a rename."""
+    path = os.path.join(out, name)
+    write_fn(*args, f"{path}.tmp")
+    os.replace(f"{path}.tmp", path)
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
-
-
-def _atomic(path, write_fn) -> None:
-    tmp = f"{path}.tmp"
-    write_fn(tmp)
-    os.replace(tmp, path)
-
-
-def _atomic_text(path, text: str) -> None:
-    def write(p):
-        with open(p, "w", newline="\n") as fh:
-            fh.write(text)
-
-    _atomic(path, write)
+def _write_text(text: str, path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write(text)
 
 
 def _prepare_out_dir(config: ExperimentConfig) -> str:
@@ -351,7 +302,7 @@ def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
     """
     n_per_block = int(round(det.f_rep * ALLAN_BLOCK_S))
     n_blocks = int(round(ALLAN_DURATION_S / ALLAN_BLOCK_S))
-    rng = _rng(seed, 0)
+    rng = _seeded_rng(seed, 0)
     centers = (np.arange(n_blocks) * n_per_block + (n_per_block - 1) / 2.0) / det.f_rep
     means = det.drift.linear_rate * centers + rng.normal(
         0.0, math.sqrt(0.5 / n_per_block), n_blocks
@@ -447,27 +398,12 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
         stability_interval_s=stability,
         tbp=tbp,
     )
-    _atomic_text(os.path.join(out, "report.json"), report_to_json(report))
-    _atomic(os.path.join(out, "noise_curve.csv"), lambda p: write_noise_curve_csv(curve, p))
-    _atomic(os.path.join(out, "allan.csv"), lambda p: write_allan_csv(mean_curve, p))
-    _atomic(os.path.join(out, "spectrum.csv"), lambda p: write_spectrum_csv(shot_band, p))
-    _atomic(os.path.join(out, "cc.csv"), lambda p: write_cc_csv(cc_rows, p))
+    _atomic(out, "report.json", _write_text, report_to_json(report))
+    _atomic(out, "noise_curve.csv", write_noise_curve_csv, curve)
+    _atomic(out, "allan.csv", write_allan_csv, mean_curve)
+    _atomic(out, "spectrum.csv", write_spectrum_csv, shot_band)
+    _atomic(out, "cc.csv", write_cc_csv, cc_rows)
     return report
-
-
-def _pure_target_vector(state: StateModel, cutoff: int) -> np.ndarray | None:
-    if state.kind == "mixture" or state.efficiency < 1.0:
-        return None
-    vec = np.zeros(cutoff, dtype=complex)
-    if state.kind == "vacuum":
-        vec[0] = 1.0
-    elif state.kind == "fock":
-        if state.n >= cutoff:
-            return None
-        vec[state.n] = 1.0
-    else:
-        vec = coherent_amplitudes(state.alpha, cutoff)
-    return vec
 
 
 def run_tomography(config: ExperimentConfig) -> dict:
@@ -481,7 +417,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
     out = _prepare_out_dir(config)
     opts = config.tomography
     n = config.n_pulses
-    phases = config.phases.realize(n, _rng(config.seed, 0))
+    phases = config.phases.realize(n, _seeded_rng(config.seed, 0))
     sampled_state = replace(
         config.state, efficiency=config.state.efficiency * opts.eta
     )
@@ -505,8 +441,9 @@ def run_tomography(config: ExperimentConfig) -> dict:
     axis = np.linspace(-WIGNER_HALFSPAN, WIGNER_HALFSPAN, WIGNER_POINTS)
     grid = wigner(rho, axis, axis)
     stats = photon_statistics(rho)
-    target = _pure_target_vector(config.state, opts.cutoff)
-    fidelity = None if target is None else fidelity_pure(rho, target)
+    target = pure_state_vector(config.state, opts.cutoff)
+    pure = target is not None and config.state.efficiency == 1.0
+    fidelity = fidelity_pure(rho, target) if pure else None
     w00 = float(wigner(rho, [0.0], [0.0]).values[0, 0])
     summary = {
         "fidelity": fidelity,
@@ -515,21 +452,18 @@ def run_tomography(config: ExperimentConfig) -> dict:
         "converged": bool(result.converged),
         "final_log_likelihood": float(result.history[-1]),
     }
-    _atomic(os.path.join(out, "rho.csv"), lambda p: write_density_matrix_csv(rho, p))
-    _atomic(os.path.join(out, "wigner.csv"), lambda p: write_wigner_csv(grid, p))
-    _atomic(
-        os.path.join(out, "photon_stats.csv"),
-        lambda p: write_photon_statistics_csv(stats, p),
-    )
-    _atomic(os.path.join(out, "samples.csv"), lambda p: write_batch_csv(batch, p))
-    _atomic_text(os.path.join(out, "summary.json"), json.dumps(summary, indent=2) + "\n")
+    _atomic(out, "rho.csv", write_density_matrix_csv, rho)
+    _atomic(out, "wigner.csv", write_wigner_csv, grid)
+    _atomic(out, "photon_stats.csv", write_photon_statistics_csv, stats)
+    _atomic(out, "samples.csv", write_batch_csv, batch)
+    _atomic(out, "summary.json", _write_text, json.dumps(summary, indent=2) + "\n")
     return summary
 
 
 def run_trace_export(config: ExperimentConfig) -> None:
     """Simulate one trace and export it as CSV and raw binary."""
     out = _prepare_out_dir(config)
-    phases = config.phases.realize(config.n_pulses, _rng(config.seed, 0))
+    phases = config.phases.realize(config.n_pulses, _seeded_rng(config.seed, 0))
     trace, _ = generate_trace(
         config.detector,
         config.state,
@@ -537,8 +471,8 @@ def run_trace_export(config: ExperimentConfig) -> None:
         config.n_pulses,
         _child_seed(config.seed, 1),
     )
-    _atomic(os.path.join(out, "trace.csv"), lambda p: write_trace_csv(trace, p))
-    _atomic(os.path.join(out, "trace.bin"), lambda p: write_trace_binary(trace, p))
+    _atomic(out, "trace.csv", write_trace_csv, trace)
+    _atomic(out, "trace.bin", write_trace_binary, trace)
 
 
 _RUNNERS = {
@@ -568,12 +502,7 @@ def main(argv=None) -> int:
         config = load_config(
             args.config, run=args.command, seed_override=args.seed, out_override=args.out
         )
-        runner = _RUNNERS[config.run]
-    except ConfigError as exc:
-        print(f"pulsequad: config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        runner(config)
+        _RUNNERS[config.run](config)
     except ConfigError as exc:
         print(f"pulsequad: config error: {exc}", file=sys.stderr)
         return 2

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .extraction import write_csv
 from .states import StateModel
 from . import tomography
 
@@ -57,8 +58,10 @@ class DriftModel:
     random_walk_sigma: float = 0.0
 
     def __post_init__(self):
-        if self.random_walk_sigma < 0:
-            raise ValueError("random_walk_sigma must be nonnegative")
+        if not math.isfinite(self.linear_rate):
+            raise ValueError("linear_rate must be finite")
+        if not 0 <= self.random_walk_sigma < math.inf:
+            raise ValueError("random_walk_sigma must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -76,26 +79,29 @@ class DetectorConfig:
     cmrr_db: float = 63.0
     pulse_shape: str = "rectangular"
     drift: DriftModel = field(default_factory=DriftModel)
-    elementary_charge: float = ELEMENTARY_CHARGE
-    planck: float = PLANCK
-    c: float = SPEED_OF_LIGHT
 
     def __post_init__(self):
         for name in ("f_rep", "wavelength", "p_lo", "gain", "fwhm_pulse", "sample_rate"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be strictly positive and finite")
         if not 0.0 <= self.eta_pd <= 1.0:
             raise ValueError("eta_pd must lie in [0, 1]")
         if self.pulse_shape not in PULSE_SHAPES:
             raise ValueError(f"pulse_shape must be one of {PULSE_SHAPES}")
         ratio = self.sample_rate / self.f_rep
-        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 8:
+        if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 8:
             raise ValueError("sample_rate must be an integer multiple (>= 8) of f_rep")
-        if self.elec_noise_area_var is None:
-            # default sets the integrated-pulse SNR at the configured LO power
-            var = 0.5 * area_scale(self) ** 2 * 10 ** (-DEFAULT_SNR_DB / 10)
-            object.__setattr__(self, "elec_noise_area_var", var)
-        elif self.elec_noise_area_var < 0:
+        try:
+            if self.elec_noise_area_var is None:
+                # default sets the integrated-pulse SNR at the configured LO power
+                var = 0.5 * area_scale(self) ** 2 * 10 ** (-DEFAULT_SNR_DB / 10)
+                object.__setattr__(self, "elec_noise_area_var", var)
+            sizes = (self.elec_noise_area_var, single_diode_pulse_area(self), leakage_area(self))
+        except ArithmeticError:  # an overflowing power, or a photon energy of zero
+            sizes = (math.inf,)
+        if not all(math.isfinite(v) for v in sizes):
+            raise ValueError("parameters give a non-finite noise variance or pulse area")
+        if self.elec_noise_area_var < 0:
             raise ValueError("elec_noise_area_var must be nonnegative")
 
     @property
@@ -134,28 +140,20 @@ class GroundTruth:
     baseline_areas: np.ndarray
 
 
-def photons_per_pulse(
-    p_lo: float,
-    wavelength: float,
-    f_rep: float,
-    planck: float = PLANCK,
-    c: float = SPEED_OF_LIGHT,
-) -> float:
+def photons_per_pulse(p_lo: float, wavelength: float, f_rep: float) -> float:
     """Mean LO photon number per pulse, ``(P/f_rep) / (h c / lambda)``."""
     if p_lo <= 0 or wavelength <= 0 or f_rep <= 0:
         raise ValueError("power, wavelength and repetition rate must be positive")
-    return (p_lo / f_rep) / (planck * c / wavelength)
+    return (p_lo / f_rep) / (PLANCK * SPEED_OF_LIGHT / wavelength)
 
 
 def area_scale(config: DetectorConfig) -> float:
     """Pulse area per quadrature unit: ``sqrt(2) eta e G sqrt(N_LO)`` in V*s."""
-    n_lo = photons_per_pulse(
-        config.p_lo, config.wavelength, config.f_rep, config.planck, config.c
-    )
+    n_lo = photons_per_pulse(config.p_lo, config.wavelength, config.f_rep)
     return (
         math.sqrt(2.0)
         * config.eta_pd
-        * config.elementary_charge
+        * ELEMENTARY_CHARGE
         * config.gain
         * math.sqrt(n_lo)
     )
@@ -172,10 +170,8 @@ def leakage_area(config: DetectorConfig) -> float:
 
 def single_diode_pulse_area(config: DetectorConfig) -> float:
     """Area of one photocurrent pulse with only one diode illuminated."""
-    n_lo = photons_per_pulse(
-        config.p_lo, config.wavelength, config.f_rep, config.planck, config.c
-    )
-    return config.eta_pd * config.elementary_charge * config.gain * (n_lo / 2.0)
+    n_lo = photons_per_pulse(config.p_lo, config.wavelength, config.f_rep)
+    return config.eta_pd * ELEMENTARY_CHARGE * config.gain * (n_lo / 2.0)
 
 
 def _noise_sigma(config: DetectorConfig) -> float:
@@ -209,6 +205,10 @@ def _pulse_shape(config: DetectorConfig) -> np.ndarray:
     if norm <= 0:
         raise ValueError("pulse shape has nonpositive area on the sample grid")
     return v / norm
+
+
+def _child_seed(seed: int, stream: int) -> int:
+    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
 
 
 def _seeded_rng(seed: int, stream: int) -> np.random.Generator:
@@ -283,17 +283,9 @@ def electronic_only_trace(config: DetectorConfig, n_pulses: int, seed: int) -> T
     return _assemble_trace(config, np.zeros(n_pulses), seed)
 
 
-def _child_seed(seed: int, stream: int) -> int:
-    return int(np.random.SeedSequence([seed, stream]).generate_state(1)[0])
-
-
 def write_trace_csv(trace: TraceBuffer, path) -> None:
     """Write ``time_s,voltage_v`` rows, one per sample."""
-    times = trace.times()
-    with open(path, "w", newline="\n") as fh:
-        fh.write("time_s,voltage_v\n")
-        for t, v in zip(times, trace.samples):
-            fh.write(f"{repr(float(t))},{repr(float(v))}\n")
+    write_csv(path, "time_s,voltage_v", (trace.times(), trace.samples))
 
 
 def write_trace_binary(trace: TraceBuffer, path) -> None:

@@ -20,9 +20,12 @@ __all__ = [
     "calibrate_vacuum",
     "apply_calibration",
     "write_batch_csv",
+    "write_csv",
 ]
 
 VACUUM_VARIANCE = 0.5
+
+CSV_BLOCK_ROWS = 256  # rows formatted at a time: a small block keeps peak memory flat
 
 
 @dataclass(frozen=True)
@@ -156,14 +159,27 @@ def apply_calibration(
     )
 
 
-def write_batch_csv(batch: QuadratureBatch, path) -> None:
-    """Write a batch as ``timestamp_s,phase_rad,quadrature`` rows."""
+def write_csv(path, header: str, columns) -> None:
+    """Write ``header`` and then one comma-separated line per row of ``zip(*columns)``.
+
+    Columns go through ``ndarray.tolist()`` and ``%s``, so floats are written
+    as their shortest round-trip ``repr`` and integers as integers.
+    """
+    cols = [np.asarray(c) for c in columns]
+    line = ",".join(["%s"] * len(cols)) + "\n"
     with open(path, "w", newline="\n") as fh:
-        fh.write("timestamp_s,phase_rad,quadrature\n")
-        n = len(batch)
-        ts = batch.timestamps
-        ph = batch.phases
-        for i in range(n):
-            t = repr(float(ts[i])) if ts is not None else ""
-            p = repr(float(ph[i])) if ph is not None else ""
-            fh.write(f"{t},{p},{repr(float(batch.values[i]))}\n")
+        fh.write(header + "\n")
+        for start in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
+            block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in cols]
+            fh.write("".join(map(line.__mod__, zip(*block))))
+
+
+def write_batch_csv(batch: QuadratureBatch, path) -> None:
+    """Write a batch as ``timestamp_s,phase_rad,quadrature`` rows; absent
+    timestamps or phases leave their column empty."""
+    missing = [""] * len(batch)
+    write_csv(
+        path,
+        "timestamp_s,phase_rad,quadrature",
+        [missing if c is None else c for c in (batch.timestamps, batch.phases, batch.values)],
+    )

@@ -24,6 +24,7 @@ __all__ = [
     "fock_wavefunction",
     "fock_wavefunctions",
     "coherent_amplitudes",
+    "pure_state_vector",
     "quadrature_pdf",
     "loss_kraus",
     "loss_channel",
@@ -89,11 +90,11 @@ class StateModel:
     realized as a density matrix.
     """
 
-    kind: str
+    kind: str = "vacuum"
     alpha: complex = 0j
     n: int = 0
-    weights: tuple = ()
-    components: tuple = ()
+    weights: tuple[float, ...] = ()
+    components: tuple[StateModel, ...] = ()
     efficiency: float = 1.0
 
     def __post_init__(self):
@@ -101,13 +102,15 @@ class StateModel:
             raise ValueError(f"unknown state kind {self.kind!r}")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
+        if not np.isfinite(self.alpha):
+            raise ValueError("alpha must be finite")
         if self.kind == "fock" and (self.n < 0 or self.n != int(self.n)):
             raise ValueError("fock photon number must be a nonnegative integer")
         if self.kind == "mixture":
             w = np.asarray(self.weights, dtype=float)
             if len(self.components) != w.size or w.size == 0:
                 raise ValueError("mixture needs matching weights and components")
-            if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-9:
+            if np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-9:
                 raise ValueError("mixture weights must be nonnegative and sum to one")
 
     @classmethod
@@ -247,19 +250,22 @@ def apply_loss_adjoint(op: np.ndarray, eta: float) -> np.ndarray:
     return np.einsum("kim,ij,kjn->mn", ks, np.asarray(op), ks)
 
 
-def _bare_density_matrix(state: StateModel, cutoff: int) -> np.ndarray:
-    if state.kind == "vacuum":
-        vec = np.zeros(cutoff, dtype=complex)
-        vec[0] = 1.0
-        return np.outer(vec, vec.conj())
-    if state.kind == "coherent":
-        vec = coherent_amplitudes(state.alpha, cutoff)
-        return np.outer(vec, vec.conj())
+def pure_state_vector(state: StateModel, cutoff: int) -> np.ndarray | None:
+    """Number-basis amplitudes of ``state`` before its loss channel; None for a mixture."""
+    if state.kind == "mixture":
+        return None
     if state.kind == "fock":
         if state.n >= cutoff:
             raise ValueError(f"fock({state.n}) does not fit below cutoff {cutoff}")
         vec = np.zeros(cutoff, dtype=complex)
         vec[state.n] = 1.0
+        return vec
+    return coherent_amplitudes(state.alpha if state.kind == "coherent" else 0.0, cutoff)
+
+
+def _bare_density_matrix(state: StateModel, cutoff: int) -> np.ndarray:
+    vec = pure_state_vector(state, cutoff)
+    if vec is not None:
         return np.outer(vec, vec.conj())
     # mixture: each component carries its own efficiency
     out = np.zeros((cutoff, cutoff), dtype=complex)

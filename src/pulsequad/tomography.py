@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from .extraction import QuadratureBatch
+from .extraction import QuadratureBatch, write_csv
 from .states import (
     DensityMatrix,
     StateModel,
@@ -253,28 +253,17 @@ def symmetry_offset_check(
 
 def write_density_matrix_csv(rho: DensityMatrix, path) -> None:
     """Write a density matrix as ``m,n,re,im`` rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("m,n,re,im\n")
-        for m in range(rho.dim):
-            for n in range(rho.dim):
-                v = rho.elements[m, n]
-                fh.write(f"{m},{n},{repr(float(v.real))},{repr(float(v.imag))}\n")
+    m, n = np.indices((rho.dim, rho.dim))
+    elements = rho.elements.ravel()
+    write_csv(path, "m,n,re,im", (m.ravel(), n.ravel(), elements.real, elements.imag))
 
 
 def write_wigner_csv(grid, path) -> None:
     """Write a Wigner grid as ``x,p,w`` rows (x outer loop)."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("x,p,w\n")
-        for i, x in enumerate(grid.x_axis):
-            for j, p in enumerate(grid.p_axis):
-                fh.write(
-                    f"{repr(float(x))},{repr(float(p))},{repr(float(grid.values[i, j]))}\n"
-                )
+    x, p = np.meshgrid(grid.x_axis, grid.p_axis, indexing="ij")
+    write_csv(path, "x,p,w", (x.ravel(), p.ravel(), grid.values.ravel()))
 
 
 def write_photon_statistics_csv(stats, path) -> None:
     """Write photon-number probabilities as ``n,p`` rows."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("n,p\n")
-        for n, p in enumerate(stats.probs):
-            fh.write(f"{n},{repr(float(p))}\n")
+    write_csv(path, "n,p", (np.arange(stats.probs.size), stats.probs))

@@ -2,10 +2,23 @@
 
 import json
 import math
+from dataclasses import fields
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pulsequad.cli import ConfigError, load_config, main
+from pulsequad.cli import (
+    RUN_KINDS,
+    ConfigError,
+    ExperimentConfig,
+    PhaseSchedule,
+    TomographyOptions,
+    load_config,
+    main,
+)
+from pulsequad.detector import DetectorConfig, DriftModel
+from pulsequad.states import StateModel
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -96,6 +109,137 @@ class TestConfigParsing:
         )
         with pytest.raises(ConfigError, match="detector"):
             load_config(path)
+
+    def test_integral_numbers_coerce(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "run": "tomography",
+                "n_pulses": 1e5,
+                "detector": {"f_rep": 80_000_000, "drift": {"linear_rate": 0}},
+                "state": {"kind": "coherent", "alpha": 1},
+                "phases": {"kind": "list", "values": [0, 1.5]},
+            },
+        )
+        cfg = load_config(path)
+        assert cfg.n_pulses == 100_000 and type(cfg.n_pulses) is int
+        assert type(cfg.detector.f_rep) is float
+        assert type(cfg.detector.drift.linear_rate) is float
+        assert cfg.state.alpha == 1 + 0j and type(cfg.state.alpha) is complex
+        assert cfg.phases.values == (0.0, 1.5)
+
+    def test_fault_names_dotted_path(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {"run": "trace-export", "detector": {"drift": {"linear_rate": "fast"}}},
+        )
+        with pytest.raises(ConfigError, match=r"config\.detector\.drift\.linear_rate"):
+            load_config(path)
+
+    def test_mixture_components_are_parsed_recursively(self, tmp_path):
+        path = write_config(
+            tmp_path,
+            {
+                "run": "tomography",
+                "state": {
+                    "kind": "mixture",
+                    "weights": [0.5, 0.5],
+                    "components": [{"kind": "fock", "n": 1}, {"alpha": 2}],
+                },
+            },
+        )
+        state = load_config(path).state
+        assert state.components == (StateModel.fock(1), StateModel(alpha=2 + 0j))
+        bad = write_config(
+            tmp_path,
+            {"run": "tomography", "state": {"components": [{"kind": "fock", "m": 1}]}},
+            "bad.json",
+        )
+        with pytest.raises(ConfigError, match=r"config\.state\.components\[0\]"):
+            load_config(bad)
+
+
+# Each of these once crashed with a traceback, failed at run time (exit 3)
+# or was silently truncated; all are configuration faults.
+CONFIG_FAULTS = {
+    "seed string": {"seed": "abc"},
+    "n_pulses string": {"n_pulses": "x"},
+    "phase list string": {"phases": {"kind": "list", "values": ["a"]}},
+    "efficiency string": {"state": {"efficiency": "x"}},
+    "detector list": {"detector": [1, 2]},
+    "state list": {"state": [1]},
+    "phases list": {"phases": [1]},
+    "drift list": {"detector": {"drift": [1]}},
+    "gain overflow": {"detector": {"gain": 1e308}},
+    "fractional cutoff": {"tomography": {"cutoff": 4.5}},
+    "fractional max_iter": {"tomography": {"max_iter": 5.5}},
+    "phase value string": {"phases": {"value": "x"}},
+    "huge LO power": {"detector": {"p_lo": 1e300}},
+    "NaN CMRR": {"detector": {"cmrr_db": math.nan}},
+    "negative infinite CMRR": {"detector": {"cmrr_db": -math.inf}},
+    "fractional seed": {"seed": 3.7},
+    "fractional sweep count": {"phases": {"kind": "sweep", "count": 2.5}},
+    "negative seed": {"seed": -1},
+    "boolean n_pulses": {"n_pulses": True},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
+def test_config_fault_exits_2(tmp_path, capsys, fault):
+    doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, {**doc, **CONFIG_FAULTS[fault]})
+    assert main(["tomography", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pulsequad: config error: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=8,
+)
+# field values that often pass coercion, so that the validation behind it runs too
+PLAUSIBLE = (
+    st.integers(-2, 12)
+    | st.floats()
+    | st.lists(st.floats(), max_size=3)
+    | st.sampled_from(["vacuum", "coherent", "fock", "mixture", "list", "sweep", "gaussian"])
+)
+
+
+def section(cls, **nested):
+    """JSON objects over the fields of ``cls``, each field present or not."""
+    optional = {f.name: PLAUSIBLE for f in fields(cls)}
+    optional.update({name: s | JSON_VALUES for name, s in nested.items()})
+    return st.fixed_dictionaries({}, optional=optional)
+
+
+CONFIG_DOCS = st.builds(
+    lambda doc, run: {**doc, "run": run},
+    section(
+        ExperimentConfig,
+        detector=section(DetectorConfig, drift=section(DriftModel)),
+        state=section(StateModel, components=st.lists(section(StateModel), max_size=2)),
+        phases=section(PhaseSchedule),
+        tomography=section(TomographyOptions),
+    ),
+    st.sampled_from(RUN_KINDS),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=CONFIG_DOCS | JSON_VALUES, subcommand=st.booleans())
+def test_load_config_raises_only_config_error(tmp_path_factory, doc, subcommand):
+    run = doc.get("run") if subcommand and isinstance(doc, dict) else None
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(doc))
+    try:
+        config = load_config(str(path), run=run)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig)
 
 
 class TestTraceExport:

@@ -105,6 +105,28 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             DriftModel(random_walk_sigma=-0.1)
 
+    def test_rejects_non_finite_drift(self):
+        for kwargs in [{"linear_rate": math.nan}, {"random_walk_sigma": math.inf}]:
+            with pytest.raises(ValueError):
+                DriftModel(**kwargs)
+
+    def test_rejects_non_finite_noise_or_areas(self):
+        # each overflows the default noise variance, a pulse area or the leak
+        for kwargs in [
+            {"p_lo": 1e300},
+            {"gain": 1e308},
+            {"wavelength": math.inf},
+            {"cmrr_db": math.nan},
+            {"cmrr_db": -math.inf},
+            {"cmrr_db": -1e308},
+            {"elec_noise_area_var": math.nan},
+        ]:
+            with pytest.raises(ValueError):
+                DetectorConfig(**kwargs)
+
+    def test_perfect_rejection_is_valid(self):
+        assert leakage_area(DetectorConfig(cmrr_db=math.inf)) == 0.0
+
 
 class TestGenerateTrace:
     def test_vacuum_variance_converges_to_half(self):
