@@ -192,7 +192,12 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
         return vec
     n = np.arange(cutoff)
     logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
-    vec = np.exp(n * np.log(abs(a)) - 0.5 * logfact) * np.exp(1j * n * np.angle(a))
+    # abs(a) overflows when both components are near the float limit; dividing
+    # by the larger one first avoids that and is exact while both are below 1
+    scale = max(abs(a.real), abs(a.imag), 1.0)
+    log_amp = n * (math.log(abs(a / scale)) + math.log(scale)) - 0.5 * logfact
+    # shifting the largest log-amplitude to 0 keeps exp finite for every finite alpha
+    vec = np.exp(log_amp - log_amp.max()) * np.exp(1j * n * np.angle(a))
     vec /= np.linalg.norm(vec)
     return vec
 

@@ -342,6 +342,21 @@ class TestTomographyRun:
         )
         assert main(["tomography", "--config", path]) == 3
 
+    def test_huge_coherent_alpha_runs_cleanly(self, tmp_path, capsys, recwarn):
+        path = write_config(
+            tmp_path,
+            {
+                "run": "tomography",
+                "out_dir": str(tmp_path / "out"),
+                "n_pulses": 200,
+                "state": {"kind": "coherent", "alpha": 1e200},
+                "tomography": {"cutoff": 4},
+            },
+        )
+        assert main(["tomography", "--config", path]) == 0
+        assert capsys.readouterr().err == ""
+        assert [str(w.message) for w in recwarn] == []
+
 
 class TestCharacterizeRun:
     def test_report_contents_fast(self, tmp_path):

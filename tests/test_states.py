@@ -1,6 +1,7 @@
 """Fock-basis state math: wavefunctions, densities, loss, Wigner functions."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -261,3 +262,21 @@ class TestValidation:
         diag = np.diag(state_density_matrix(state, 4).elements).real
         assert diag[0] == pytest.approx(0.351, abs=1e-12)
         assert diag[1] == pytest.approx(0.649, abs=1e-12)
+
+
+class TestCoherentAmplitudes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        alpha=st.complex_numbers(allow_nan=False, allow_infinity=False),
+        cutoff=st.integers(2, 30),
+    )
+    def test_finite_with_unit_norm(self, alpha, cutoff):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vec = coherent_amplitudes(alpha, cutoff)
+        assert np.all(np.isfinite(vec))
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+
+    def test_huge_alpha_fills_the_top_level(self):
+        vec = coherent_amplitudes(1e200, 6)
+        assert abs(vec[-1]) == pytest.approx(1.0, abs=1e-12)
