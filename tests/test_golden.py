@@ -130,8 +130,8 @@ DIGESTS = {
         "wigner.csv": "96d7a03cdfefa831dbbb7d9415ff7136a1e355a8b797e32bacc6b16ff4c4cd3c",
     },
     "trace-gaussian": {
-        "trace.bin": "d2fc71d495c51e43c36b450ff8f1487e91dcaf6e5128eebd33aa8526130e20d1",
-        "trace.csv": "c12395cceebde3c50df1f6ac2c36949ad5c535febd5fbcee5f403e8665551f07",
+        "trace.bin": "e1f1e8254c8e299426fdad38794699502de8674ff668cba30a4bea1917e02b5b",
+        "trace.csv": "1906aa0f4be56f929468bfcd35591db943aa1930247b88d3c566801cb9e9b0d4",
     },
 }
 
