@@ -50,12 +50,12 @@ from .states import (
     loss_channel,
     photon_statistics,
     quadrature_pdf,
+    sample_quadratures,
     state_density_matrix,
     wigner,
 )
 from .tomography import (
     MleResult,
     mle_reconstruct,
-    sample_quadratures,
     symmetry_offset_check,
 )

@@ -59,15 +59,16 @@ from .extraction import (
     write_batch_csv,
 )
 from .states import (
+    SAMPLE_GRID_HALFSPAN,
     StateModel,
     fidelity_pure,
     photon_statistics,
     pure_state_vector,
+    sample_quadratures,
     wigner,
 )
 from .tomography import (
     mle_reconstruct,
-    sample_quadratures,
     write_density_matrix_csv,
     write_photon_statistics_csv,
     write_wigner_csv,
@@ -122,6 +123,12 @@ class TomographyOptions:
             raise ConfigError("tomography cutoff must be at least 2")
         if not (self.bin_width > 0 and self.tol > 0 and self.max_iter >= 1):
             raise ConfigError("bin_width, tol and max_iter must be positive")
+        # bin indices across the sampling grid must stay exact integers
+        grid_span = 2.0 * SAMPLE_GRID_HALFSPAN
+        if not (math.isfinite(self.bin_width) and grid_span / self.bin_width < 2**53):
+            raise ConfigError(
+                f"bin_width must be finite and greater than {grid_span / 2**53:.3g}"
+            )
         if not 0.0 < self.eta <= 1.0:
             raise ConfigError("tomography eta must lie in (0, 1]")
 

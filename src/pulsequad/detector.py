@@ -17,8 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .extraction import write_csv
-from .states import StateModel
-from . import tomography
+from .states import StateModel, sample_quadratures
 
 __all__ = [
     "DriftModel",
@@ -247,7 +246,7 @@ def generate_trace(
     if phases.size not in (1, n_pulses):
         raise ValueError("phase schedule must have length 1 or n_pulses")
 
-    batch = tomography.sample_quadratures(
+    batch = sample_quadratures(
         state, phases, n_pulses, _child_seed(seed, 0), cutoff=cutoff
     )
     x = batch.values

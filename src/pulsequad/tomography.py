@@ -1,10 +1,11 @@
-"""Quadrature sampling and iterative maximum-likelihood state reconstruction.
+"""Iterative maximum-likelihood state reconstruction from quadrature samples.
 
-Sampling inverts a tabulated CDF of the state's quadrature density.  The
-reconstruction bins samples into (phase, quadrature) cells, builds one POVM
+The reconstruction bins samples into (phase, quadrature) cells, builds one POVM
 element per occupied cell (the projector density integrated over the cell,
 composed with the detection-loss adjoint), and iterates ``rho <- N[R rho R]``
 with ``R = sum_j (f_j / p_j) Pi_j`` until the likelihood gain stalls.
+``sample_quadratures`` lives in :mod:`pulsequad.states` and is re-exported
+here.
 """
 
 from __future__ import annotations
@@ -17,11 +18,9 @@ import scipy.sparse
 from .extraction import QuadratureBatch, write_csv
 from .states import (
     DensityMatrix,
-    StateModel,
     apply_loss_adjoint,
     fock_wavefunctions,
-    quadrature_pdf,
-    state_density_matrix,
+    sample_quadratures,
 )
 
 __all__ = [
@@ -33,9 +32,6 @@ __all__ = [
     "write_wigner_csv",
     "write_photon_statistics_csv",
 ]
-
-SAMPLE_GRID_HALFSPAN = 8.0
-SAMPLE_GRID_POINTS = 2**14
 
 _QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(5)
 
@@ -53,62 +49,17 @@ class MleResult:
         return self.history.size - 1
 
 
-def _inverse_cdf_grid(rho: DensityMatrix, theta: float) -> tuple[np.ndarray, np.ndarray]:
-    grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_POINTS)
-    pdf = quadrature_pdf(rho, theta, grid)
-    dx = grid[1] - grid[0]
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
-    cdf /= cdf[-1]
-    return cdf, grid
-
-
-def sample_quadratures(
-    state: StateModel, phases, n: int, seed: int, cutoff: int = 10
-) -> QuadratureBatch:
-    """Draw ``n`` quadrature samples of ``state`` at the scheduled phases.
-
-    The schedule must have length 1 (applied to every pulse) or ``n``.
-    Values are drawn by inverse-CDF lookup on a tabulated grid spanning
-    ``[-8, 8]`` with 2**14 points; a given seed reproduces the batch
-    exactly.
-    """
-    if n < 1:
-        raise ValueError("sample count must be at least 1")
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    if phases.size == 1:
-        phases = np.full(n, phases[0])
-    elif phases.size != n:
-        raise ValueError("phase schedule must have length 1 or n")
-
-    rho = state_density_matrix(state, cutoff)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
-    u = rng.random(n)
-    values = np.empty(n)
-
-    offdiag = rho.elements - np.diag(np.diag(rho.elements))
-    if np.max(np.abs(offdiag)) < 1e-14:
-        # phase-covariant state: one lookup table serves every phase
-        cdf, grid = _inverse_cdf_grid(rho, 0.0)
-        values[:] = np.interp(u, cdf, grid)
-    else:
-        for theta in np.unique(phases):
-            idx = phases == theta
-            cdf, grid = _inverse_cdf_grid(rho, theta)
-            values[idx] = np.interp(u[idx], cdf, grid)
-    return QuadratureBatch(values=values, phases=phases)
-
-
 def _binned_cells(values, phases, bin_width):
-    k0 = int(np.floor(values.min() / bin_width))
-    kidx = np.floor(values / bin_width).astype(np.int64) - k0
-    n_bins = int(kidx.max()) + 1
+    occupied, bin_of_sample = np.unique(
+        np.floor(values / bin_width).astype(np.int64), return_inverse=True
+    )
     uph, phidx = np.unique(phases, return_inverse=True)
-    key = phidx.astype(np.int64) * n_bins + kidx
+    # packed over occupied bins, not the full bin range: key < n**2 cannot overflow
+    key = phidx.astype(np.int64) * occupied.size + bin_of_sample
     ckey, counts = np.unique(key, return_counts=True)
-    cell_phase = uph[ckey // n_bins]
-    cell_bin = ckey % n_bins
-    occupied, bin_of_cell = np.unique(cell_bin, return_inverse=True)
-    bin_lo = (k0 + occupied) * bin_width
+    cell_phase = uph[ckey // occupied.size]
+    bin_of_cell = ckey % occupied.size
+    bin_lo = occupied * bin_width
     return cell_phase, bin_of_cell, counts.astype(float), bin_lo
 
 

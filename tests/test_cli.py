@@ -181,6 +181,8 @@ CONFIG_FAULTS = {
     "fractional sweep count": {"phases": {"kind": "sweep", "count": 2.5}},
     "negative seed": {"seed": -1},
     "boolean n_pulses": {"n_pulses": True},
+    "infinite bin_width": {"tomography": {"bin_width": math.inf}},
+    "vanishing bin_width": {"tomography": {"bin_width": 1e-300}},
 }
 
 

@@ -1,11 +1,11 @@
 """Golden SHA-256 digests of every CLI artifact: the behaviour lock.
 
 Each case runs one small fixed-seed config through ``pulsequad.cli.main``
-and compares every file it writes, byte for byte, with digests recorded
-before the config and I/O layer was refactored.  A change that alters any
-artifact, even at round-off level, fails here; such a change must say so
-and refresh the digests on purpose.  The digests were recorded with
-numpy 2.4 and scipy 1.17 on x86-64.
+and compares every file it writes, byte for byte, with recorded digests.
+A change that alters any artifact, even at round-off level, fails here;
+such a change must say so in CHANGES.md and refresh the digests on
+purpose.  The digests were recorded with numpy 2.4 and scipy 1.17 on
+x86-64.
 """
 
 import hashlib

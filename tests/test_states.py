@@ -8,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pulsequad import states
+from pulsequad.cli import PhaseSchedule
 from pulsequad.states import (
+    SAMPLE_GRID_HALFSPAN,
+    SAMPLE_GRID_POINTS,
     DensityMatrix,
     StateModel,
     coherent_amplitudes,
@@ -18,6 +22,7 @@ from pulsequad.states import (
     loss_channel,
     photon_statistics,
     quadrature_pdf,
+    sample_quadratures,
     state_density_matrix,
     wigner,
 )
@@ -280,3 +285,85 @@ class TestCoherentAmplitudes:
     def test_huge_alpha_fills_the_top_level(self):
         vec = coherent_amplitudes(1e200, 6)
         assert abs(vec[-1]) == pytest.approx(1.0, abs=1e-12)
+
+
+def per_phase_reference(state, phases, n, seed, cutoff):
+    """The inversion the harmonic table replaced: for each distinct phase, the
+    public ``quadrature_pdf`` on the sampling grid, its trapezoid CDF, and
+    ``np.interp`` of the same uniforms."""
+    phases = np.broadcast_to(np.asarray(phases, dtype=float), (n,))
+    rho = state_density_matrix(state, cutoff)
+    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed]))).random(n)
+    grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_POINTS)
+    dx = grid[1] - grid[0]
+    values = np.empty(n)
+    for theta in np.unique(phases):
+        pdf = quadrature_pdf(rho, theta, grid)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (pdf[1:] + pdf[:-1]) * dx)))
+        idx = phases == theta
+        values[idx] = np.interp(u[idx], cdf / cdf[-1], grid)
+    return values
+
+
+SAMPLED_STATES = {
+    "vacuum": StateModel.vacuum(),
+    "complex coherent": StateModel.coherent(0.6 - 0.3j),
+    "fock": StateModel.fock(2),
+    "lossy mixture": StateModel.mixture(
+        [0.7, 0.3], [StateModel.fock(1), StateModel.vacuum()], efficiency=0.9
+    ),
+}
+SCHEDULES = {
+    "constant": PhaseSchedule(kind="constant", value=0.7),
+    "list": PhaseSchedule(kind="list", values=(0.0, 1.0, 2.0, 3.0)),
+    "sweep": PhaseSchedule(kind="sweep", count=5, start=0.1, span=3.0),
+    "random": PhaseSchedule(kind="random"),
+}
+
+
+class TestSampleQuadratures:
+    @pytest.mark.parametrize("schedule", sorted(SCHEDULES))
+    @pytest.mark.parametrize("state", sorted(SAMPLED_STATES))
+    def test_matches_per_phase_inversion(self, state, schedule):
+        n = 60
+        phases = SCHEDULES[schedule].realize(n, np.random.default_rng(1))
+        batch = sample_quadratures(SAMPLED_STATES[state], phases, n, seed=2, cutoff=6)
+        expected = per_phase_reference(SAMPLED_STATES[state], phases, n, 2, 6)
+        assert np.array_equal(batch.phases, phases)
+        assert np.max(np.abs(batch.values - expected)) <= 1e-9
+
+    def test_single_sample(self):
+        state = StateModel.coherent(0.6 - 0.3j)
+        batch = sample_quadratures(state, [1.2], 1, seed=3)
+        assert batch.values.shape == (1,)
+        expected = per_phase_reference(state, [1.2], 1, 3, 10)
+        assert abs(batch.values[0] - expected[0]) <= 1e-9
+
+    def test_same_seed_reproduces_random_phases(self):
+        state = StateModel.coherent(0.6 - 0.3j, efficiency=0.8)
+        phases = np.random.default_rng(4).uniform(0.0, 2.0 * np.pi, 5000)
+        a = sample_quadratures(state, phases, phases.size, seed=5)
+        b = sample_quadratures(state, phases, phases.size, seed=5)
+        c = sample_quadratures(state, phases, phases.size, seed=6)
+        assert np.array_equal(a.values, b.values)
+        assert not np.array_equal(a.values, c.values)
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="finite"):
+            sample_quadratures(StateModel.vacuum(), [0.0, phase], 2, seed=0)
+
+    @pytest.mark.parametrize("distinct", [1, 1000])
+    def test_one_wavefunction_table_per_call(self, monkeypatch, distinct):
+        # a per-phase table would call fock_wavefunctions once per distinct phase
+        calls = []
+        original = states.fock_wavefunctions
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(states, "fock_wavefunctions", counting)
+        phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, distinct)
+        sample_quadratures(StateModel.coherent(0.6 - 0.3j), phases, 1000, seed=8)
+        assert len(calls) == 1

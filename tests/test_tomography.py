@@ -10,6 +10,7 @@ from scipy.stats import ks_2samp
 from pulsequad.extraction import QuadratureBatch
 from pulsequad.states import StateModel, coherent_amplitudes, fidelity_pure
 from pulsequad.tomography import (
+    _binned_cells,
     mle_reconstruct,
     sample_quadratures,
     symmetry_offset_check,
@@ -155,6 +156,21 @@ class TestMleReconstruct:
         result = mle_reconstruct(batch, 8, max_iter=3)
         assert not result.converged
         assert result.iterations == 3
+
+
+class TestBinnedCells:
+    def test_many_phases_and_narrow_bins(self):
+        # 20k phases x ~1e15 bins would overflow a key packed over the bin range
+        rng = np.random.default_rng(0)
+        values = rng.normal(0.0, 1.0, 20_000)
+        phases = rng.uniform(0.0, 2.0 * np.pi, values.size)
+        width = 1e-14
+        cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(values, phases, width)
+        order = np.argsort(phases)
+        assert np.array_equal(counts, np.ones(values.size))
+        assert np.array_equal(cell_phase, phases[order])
+        lo = bin_lo[bin_of_cell]
+        assert np.all(np.abs(values[order] - lo - 0.5 * width) <= width)
 
 
 class TestSymmetryOffsetCheck:
