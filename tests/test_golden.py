@@ -82,56 +82,56 @@ CONFIGS = {
 DIGESTS = {
     "characterize": {
         "allan.csv": "7003643bdcec7c1ee62cc5e2942a27c8c89cce3a20a44df6bd6fc4d7ec97dcab",
-        "cc.csv": "05723fb07253ad72b3adb5f9f189bbbed7167040ad85d82bdc60a7d767d72d73",
-        "noise_curve.csv": "f9d06e993162fad3e7284cbcc3794269621692332370e3231053af4d230dc7f3",
-        "report.json": "77f165bdf5207fd0747189563df51ac3f2233a9776013c751024cbb0d95a0791",
-        "spectrum.csv": "2528e28fdfa8841505d2de495ce8a8ddefb099435ca3221b23ad4fcb844a2ff4",
+        "cc.csv": "1588ada2e23e56229c6efac1bae6d2faed79751e89503fcf66e76535fc3da763",
+        "noise_curve.csv": "d14e89c6bc7782fbc3602f97c2076d0edba075b804ede6e43ff615326373e69b",
+        "report.json": "7193c775e13c042ded4b829fc8565808e6a80dc1c66831d0f402be72d0828a40",
+        "spectrum.csv": "9584562fbfd527f9a0703d3e207bcacd8e22410992bdf675f86ea1e0c76ba00b",
     },
     "characterize-noiseless": {
         "allan.csv": "a4ffd7420af23205ed6f33e8b22b4d3736596a864e69a9f3ab06bbb7add8006e",
-        "cc.csv": "26a4621a289cfc70cffe292c86b06534a16184349e99c25c76486dad1b843059",
-        "noise_curve.csv": "b22d85f0a50c476665287eb316fde3447d464e4a29c8667b867a30426f7d400f",
-        "report.json": "2a7fb70093f4b05d9932d8af6f803713a1ebb4c723c8b9a5bee10834f69218d9",
-        "spectrum.csv": "4eea9de4c080b476650a816e4f4b1b1283d94dcf77484d70bd0186a15f902cea",
+        "cc.csv": "4a378f4eecdbcd70eb0c75c5501b564f966cf1bcaed024d57e2e5c29ae8e938d",
+        "noise_curve.csv": "2afdeb3f8ae228bfeac592341d5661b14d142588975ac0c6e36afd38af4013bf",
+        "report.json": "04e888d7ea50ff5631630951a65eef80224803c238c3196c7231031df5dd64bb",
+        "spectrum.csv": "e7b134e7aba210c0cc9ad1f223f269b3d9520784409f6d3a8d221324a15d3b5c",
     },
     "tomo-mixture-random": {
         "photon_stats.csv": "16e75bba98b61a0bfca5c0c5f395811fea8fa1f859b07edc2e79c8451974f598",
         "rho.csv": "0c016855537a09de13d3423445f961c5a21438800e45c05ad48370f86ccf5aa1",
-        "samples.csv": "dc22b6b212b8b2910e6f424120bc4a8e21fd0a8dcb1d9d56050aa6d37ece0040",
+        "samples.csv": "03f6664f474bc9bfd4486b34c2dd4318d27740843145cd545d909a93c1762e9b",
         "summary.json": "d251774876725bfb44b7b8035e64140564e92142e87a6eae9e51b26e8c071f91",
         "wigner.csv": "df4b52f919e3bc6bfeb2835e622904b1e14aa003ffa93ba2cf0d15f035e6d5d2",
     },
     "tomo-coherent-list": {
         "photon_stats.csv": "a08e973e2fb7e330f210d8fa4b6fffaf5397c4ef8d5c7c3b2b2686aef16014f2",
         "rho.csv": "ba631725b5eeeeb3e7f3157779dc91a039d08989d46188991fa047572f9c4c51",
-        "samples.csv": "eb06565b150292efd6e775fa8e2e0244c5f8d7a3edae44a2bb779818d967eb49",
+        "samples.csv": "4956fe002e3df50ad639514ac92c273f59bae4a39ceb7eeb65d2a9b7c9d79ced",
         "summary.json": "ec8ffa1a4dec56dc2ffa200e95c56e40f5525ca715b57b51bb6375723d8792e7",
         "wigner.csv": "387e6fcfe3f0a43138172ae9df5131457d409dc1271fa0707a0d70929299f547",
     },
     "tomo-coherent-sweep": {
         "photon_stats.csv": "ef1fdd658ddddc0e876e63ac7f42b9b83d1ca1b22ffe26864ebb18bee7bb159b",
         "rho.csv": "ebd6801a43fc2a573c3fb1f3647b98942654b303e7ae22c9322998470d3ab290",
-        "samples.csv": "4a4f7bf359501cfba40036cb4ad479219c4ddc7ecdcf9be2334996a76754e0ba",
+        "samples.csv": "a69ac953553db755484e7818b50350c1f5f7a4ce638ea1b0806a23227435022c",
         "summary.json": "397ee62a8df01fbd37a0e300cb110ec9a5fe1f5916270e8d1d15c3316e64a205",
         "wigner.csv": "f49561a596ef305ddc08d635765e0dfa1f3e5fbb40e2276be3d636efdcab8243",
     },
     "tomo-fock-random": {
         "photon_stats.csv": "1a13dce82396b69c1a19fa666965b4eb58d99a395faf8b5577f463dd4beff9a7",
         "rho.csv": "5623437eb247b0513fb077f0decdf7269773258434f1ba529717b3cb1896e11d",
-        "samples.csv": "252d68b1402ffc1ed723830b1749c65cfab179023c1d780b4054fe76903baf4a",
+        "samples.csv": "3c9560510dbcd7b0010ef023de6fb4702ee43e012ba7836a797979d656320b3e",
         "summary.json": "44263dd4cbe6c0baeaeec68c7ad3d6b31b59b2b51db7da57020cd086f53cd171",
         "wigner.csv": "3d62a8b055c446d3ae0418880043b1abafb23481047939ceb9209a8425c1e0b0",
     },
     "tomo-vacuum-default": {
         "photon_stats.csv": "158b4bbaccf16fce4e47c54d5d65a17cf676506823570b99d722d8ba35fc378f",
         "rho.csv": "358545af5c45da7a86683e8baf464fc2a649b8ab081ff8a34fc582157231ae2d",
-        "samples.csv": "dcd2cfa57e16d61ab92998199569a0e570d3abc2a63bf3eb3a83f30fbe5dec51",
+        "samples.csv": "993ffd0214736e4f07a95fdb54fcaca2a985cfab13014ad4242f37a75e0ac154",
         "summary.json": "3f0fd1f960c947fc12e98d1de6dbc797612bd5f0bbe70aafd29e66295ca55700",
         "wigner.csv": "96d7a03cdfefa831dbbb7d9415ff7136a1e355a8b797e32bacc6b16ff4c4cd3c",
     },
     "trace-gaussian": {
-        "trace.bin": "e1f1e8254c8e299426fdad38794699502de8674ff668cba30a4bea1917e02b5b",
-        "trace.csv": "1906aa0f4be56f929468bfcd35591db943aa1930247b88d3c566801cb9e9b0d4",
+        "trace.bin": "06ed3c7cf5abf260377ec20cd84951273cae704327e1af76e62822aec8910b8c",
+        "trace.csv": "d48df51c739db6f5ca4d7d8370a620bfca7c6889b0a79f5fb59d3b61c5c8f544",
     },
 }
 
