@@ -188,8 +188,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.run not in RUN_KINDS:
             raise ConfigError(f"run must be one of {RUN_KINDS}")
-        if self.n_pulses < 1:
-            raise ConfigError("n_pulses must be at least 1")
+        # characterize takes sample variances over n_pulses pulse areas
+        min_pulses = 2 if self.run == "characterize" else 1
+        if self.n_pulses < min_pulses:
+            raise ConfigError(f"n_pulses must be at least {min_pulses} for run {self.run!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

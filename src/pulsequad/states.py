@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .extraction import QuadratureBatch
 
@@ -379,19 +378,36 @@ def sample_quadratures(
     return QuadratureBatch(values=values, phases=phases)
 
 
+def _laguerre_kernels(d: int, count: int, r2: np.ndarray):
+    """Yield ``sqrt(m!/(m+d)!) L_m^(d)(r2) exp(-r2/2)`` for ``m = 0 .. count-1``.
+
+    The generalized Laguerre polynomials come from the three-term recurrence
+    ``m L_m = (2m - 1 + d - r2) L_{m-1} - (m - 1 + d) L_{m-2}`` with
+    ``L_0 = 1``, so each kernel costs a fixed number of passes over ``r2``.
+    """
+    gauss = np.exp(-0.5 * r2)
+    lag_prev, lag = np.zeros_like(r2), np.ones_like(r2)
+    for m in range(count):
+        if m > 0:
+            lag_prev, lag = lag, ((2 * m - 1 + d - r2) * lag - (m - 1 + d) * lag_prev) / m
+        yield math.sqrt(math.factorial(m) / math.factorial(m + d)) * lag * gauss
+
+
 def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     """Wigner function of ``rho`` on the cartesian grid ``x_axis`` x ``p_axis``.
 
     Evaluated through the associated-Laguerre closed form of the
-    number-basis kernels; the diagonal kernels at the origin alternate as
-    ``(-1)^n / pi``, so negativity at the origin witnesses odd-photon
-    population.
+    number-basis kernels, ``W_{m,m+d} ~ (-1)^m sqrt(m!/(m+d)!) a^d
+    L_m^(d)(r^2) exp(-r^2/2) / pi`` with ``a = sqrt(2) (x + i p)`` and
+    ``r^2 = |a|^2``; the polynomials of each order ``d`` are built by their
+    three-term recurrence in ``m``.  The diagonal kernels at the origin
+    alternate as ``(-1)^n / pi``, so negativity at the origin witnesses
+    odd-photon population.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     X, P = np.meshgrid(x_axis, p_axis, indexing="ij")
     r2 = 2.0 * (X * X + P * P)
-    base = np.exp(-(X * X + P * P)) / np.pi
     amp = math.sqrt(2.0) * (X + 1j * P)
     dim = rho.dim
     values = np.zeros_like(X)
@@ -399,11 +415,8 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     for d in range(dim):
         if d > 0:
             off = off * amp
-        for m in range(dim - d):
-            pref = (-1.0) ** m * math.sqrt(
-                math.factorial(m) / math.factorial(m + d)
-            )
-            kern = pref * eval_genlaguerre(m, d, r2) * base
+        for m, kernel in enumerate(_laguerre_kernels(d, dim - d, r2)):
+            kern = (-1.0) ** m / math.pi * kernel
             if d == 0:
                 values += rho.elements[m, m].real * kern
             else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from .extraction import QuadratureBatch, write_csv
 from .states import (
@@ -109,14 +108,13 @@ def mle_reconstruct(
     ops = _bin_operators(bin_lo, bin_width, dim, eta)
     op_diags = [np.diagonal(ops, offset=-d, axis1=1, axis2=2) for d in range(dim)]
     phase_fac = np.exp(1j * np.outer(cell_phase, np.arange(dim)))
-    scatter = scipy.sparse.csr_matrix(
-        (np.ones(cell_phase.size), (bin_of_cell, np.arange(cell_phase.size))),
-        shape=(bin_lo.size, cell_phase.size),
-    )
+    # the same factors as contiguous (dim, n_cells) rows of cos and sin, for the scatter
+    phase_cos, phase_sin = phase_fac.real.T.copy(), phase_fac.imag.T.copy()
+    n_bins = bin_lo.size
     freqs = counts / counts.sum()
 
     def cell_probs(rho):
-        q = np.empty((dim, bin_lo.size), dtype=complex)
+        q = np.empty((dim, n_bins), dtype=complex)
         for d in range(dim):
             q[d] = op_diags[d] @ np.diagonal(rho, offset=d)
         qg = q[:, bin_of_cell]
@@ -124,7 +122,13 @@ def mle_reconstruct(
         return np.maximum(p, 1e-300)
 
     def iteration_operator(weights):
-        s = scatter @ (weights[:, None] * phase_fac)
+        # s[b, d] = sum over the cells of bin b of weights * exp(i d phase),
+        # added in cell order; the columns s[:, d] round in the matrix
+        # product below exactly as the former sparse scatter's did
+        s = np.empty((n_bins, dim), dtype=complex)
+        for d in range(dim):
+            s.real[:, d] = np.bincount(bin_of_cell, weights * phase_cos[d], minlength=n_bins)
+            s.imag[:, d] = np.bincount(bin_of_cell, weights * phase_sin[d], minlength=n_bins)
         r = np.zeros((dim, dim), dtype=complex)
         for d in range(dim):
             diag = s[:, d] @ op_diags[d]

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pulsequad
 from pulsequad.cli import (
     RUN_KINDS,
     ConfigError,
@@ -183,18 +187,35 @@ CONFIG_FAULTS = {
     "boolean n_pulses": {"n_pulses": True},
     "infinite bin_width": {"tomography": {"bin_width": math.inf}},
     "vanishing bin_width": {"tomography": {"bin_width": 1e-300}},
+    "characterize single pulse": {"run": "characterize", "n_pulses": 1},
 }
 
 
 @pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
 def test_config_fault_exits_2(tmp_path, capsys, fault):
     doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(tmp_path / "out")}
-    path = write_config(tmp_path, {**doc, **CONFIG_FAULTS[fault]})
-    assert main(["tomography", "--config", path]) == 2
+    doc.update(CONFIG_FAULTS[fault])
+    path = write_config(tmp_path, doc)
+    assert main([doc["run"], "--config", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("pulsequad: config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n_pulses", [1, 2, 3, 7])
+@pytest.mark.parametrize("run", RUN_KINDS)
+def test_tiny_n_pulses(tmp_path, capsys, recwarn, run, n_pulses):
+    out = tmp_path / "out"
+    path = write_config(tmp_path, {"run": run, "n_pulses": n_pulses, "out_dir": str(out)})
+    code = main([run, "--config", path])
+    err = capsys.readouterr().err
+    assert [str(w.message) for w in recwarn] == []
+    assert code in (0, 2)
+    assert err.count("\n") == (0 if code == 0 else 1)
+    if code == 0:
+        for csv in out.glob("*.csv"):
+            assert "nan" not in csv.read_text().lower(), csv.name
 
 
 JSON_VALUES = st.recursive(
@@ -434,3 +455,42 @@ class TestMainEntry:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["trace-export", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+# Runs in a fresh interpreter, so that nothing imported by the test session
+# counts; a module imported lazily inside a run shows up as well.
+NO_SCIPY_SCRIPT = """
+import json, sys
+import pulsequad
+import pulsequad.cli as cli
+for run, path in json.loads(sys.argv[1]):
+    assert cli.main([run, "--config", path]) == 0, run
+print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    docs = {
+        "tomography": {
+            "n_pulses": 50,
+            "state": {"kind": "coherent", "alpha": 0.8},
+            "phases": {"kind": "random"},
+            "tomography": {"cutoff": 4},
+        },
+        "characterize": {"n_pulses": 50},
+    }
+    runs = []
+    for run, doc in docs.items():
+        doc = {**doc, "run": run, "out_dir": str(tmp_path / run)}
+        runs.append((run, write_config(tmp_path, doc, f"{run}.json")))
+    src = os.path.dirname(os.path.dirname(pulsequad.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "tomography" / "wigner.csv").exists()
+    assert (tmp_path / "characterize" / "report.json").exists()

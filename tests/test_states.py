@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre
 
 from pulsequad import states
 from pulsequad.cli import PhaseSchedule
@@ -189,6 +190,32 @@ class TestWigner:
         rho = random_density_matrix(7, 13)
         grid = wigner(rho, np.linspace(-2, 2, 11), np.linspace(-2, 2, 11))
         assert np.isrealobj(grid.values)
+
+    def test_laguerre_kernels_match_scipy(self):
+        r2 = np.linspace(0.0, 144.0, 1441)
+        gauss = np.exp(-0.5 * r2)
+        for d in range(40):
+            kernels = list(states._laguerre_kernels(d, 40 - d, r2))
+            assert len(kernels) == 40 - d
+            for m, kernel in enumerate(kernels):
+                weight = math.sqrt(math.factorial(m) / math.factorial(m + d))
+                expected = weight * eval_genlaguerre(m, d, r2) * gauss
+                assert np.max(np.abs(kernel - expected)) <= 1e-12, (m, d)
+
+    # Below 20 photons the mass outside [-8, 8]^2 is under 2e-7 (1.4e-7 for
+    # |19>), and on a 0.1 grid the trapezoid rule is exact to round-off for
+    # these Gaussian-weighted polynomials.
+    @settings(max_examples=25, deadline=None)
+    @given(dim=st.integers(2, 20), rank=st.integers(1, 20), seed=st.integers(0, 2**32 - 1))
+    def test_normalisation_property(self, dim, rank, seed):
+        rng = np.random.default_rng(seed)
+        shape = (dim, min(rank, dim))
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = g @ g.conj().T
+        axis = np.linspace(-8.0, 8.0, 161)
+        grid = wigner(DensityMatrix(rho / rho.trace().real), axis, axis)
+        total = np.trapezoid(np.trapezoid(grid.values, axis, axis=1), axis)
+        assert total == pytest.approx(1.0, abs=1e-6)
 
 
 class TestPhotonStatisticsAndFidelity:
