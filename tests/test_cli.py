@@ -464,7 +464,8 @@ import json, sys
 import pulsequad
 import pulsequad.cli as cli
 for run, path in json.loads(sys.argv[1]):
-    assert cli.main([run, "--config", path]) == 0, run
+    if cli.main([run, "--config", path]) != 0:
+        sys.exit(f"{run} run failed")
 print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
 """
 
