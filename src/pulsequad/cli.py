@@ -297,6 +297,10 @@ def _prepare_out_dir(config: ExperimentConfig) -> str:
     return out
 
 
+def _vacuum_trace(det: DetectorConfig, n_pulses: int, seed: int):
+    return generate_trace(det, StateModel.vacuum(), [0.0], n_pulses, seed)[0]
+
+
 def _record_areas(trace, f_rep: float) -> np.ndarray:
     windows = segment_pulses(trace, f_rep, 0.0, 1.0 / f_rep)
     return pulse_areas(trace, windows)
@@ -335,20 +339,22 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
     out = _prepare_out_dir(config)
     det = config.detector
     seed = config.seed
-    vacuum = StateModel.vacuum()
 
+    # each trace is reduced to its areas or spectrum as soon as it is drawn,
+    # so at most one long trace is alive at a time
     points = []
     for i, frac in enumerate(POWER_FRACTIONS):
         cfg_i = det.with_power(det.p_lo * frac)
-        trace, _ = generate_trace(
-            cfg_i, vacuum, [0.0], config.n_pulses, _child_seed(seed, i)
+        areas = _record_areas(
+            _vacuum_trace(cfg_i, config.n_pulses, _child_seed(seed, i)), det.f_rep
         )
-        areas = _record_areas(trace, det.f_rep)
         points.append((cfg_i.p_lo, float(np.var(areas, ddof=1))))
     curve = variance_vs_power(points)
 
-    elec_trace = electronic_only_trace(det, config.n_pulses, _child_seed(seed, 10))
-    var_elec = float(np.var(_record_areas(elec_trace, det.f_rep), ddof=1))
+    elec_areas = _record_areas(
+        electronic_only_trace(det, config.n_pulses, _child_seed(seed, 10)), det.f_rep
+    )
+    var_elec = float(np.var(elec_areas, ddof=1))
     var_total = points[-1][1]
     if var_elec > 0.0:
         snr_db, eta_en = snr_and_efficiency(var_total, var_elec)
@@ -360,22 +366,24 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
     # leakage-free vacuum trace so the repetition-rate spur cannot lift the
     # -3 dB crossing
     det_clean = replace(det, cmrr_db=math.inf)
-    shot_trace, _ = generate_trace(
-        det_clean, vacuum, [0.0], SPECTRUM_PULSES, _child_seed(seed, 20)
+    shot_band = noise_spectrum(
+        _vacuum_trace(det_clean, SPECTRUM_PULSES, _child_seed(seed, 20)), SEGMENT_LEN_BAND
     )
-    elec_long = electronic_only_trace(det, SPECTRUM_PULSES, _child_seed(seed, 21))
-    blocked = single_diode_trace(det, SPECTRUM_PULSES, _child_seed(seed, 22))
-    balanced, _ = generate_trace(det, vacuum, [0.0], SPECTRUM_PULSES, _child_seed(seed, 23))
-    shot_band = noise_spectrum(shot_trace, SEGMENT_LEN_BAND)
-    elec_band = noise_spectrum(elec_long, SEGMENT_LEN_BAND)
+    elec_band = noise_spectrum(
+        electronic_only_trace(det, SPECTRUM_PULSES, _child_seed(seed, 21)), SEGMENT_LEN_BAND
+    )
     bandwidth = bandwidth_minus3db(shot_band, elec_band)
-    balanced_line = noise_spectrum(balanced, SEGMENT_LEN_LINE)
-    blocked_line = noise_spectrum(blocked, SEGMENT_LEN_LINE)
+    blocked_line = noise_spectrum(
+        single_diode_trace(det, SPECTRUM_PULSES, _child_seed(seed, 22)), SEGMENT_LEN_LINE
+    )
+    balanced_line = noise_spectrum(
+        _vacuum_trace(det, SPECTRUM_PULSES, _child_seed(seed, 23)), SEGMENT_LEN_LINE
+    )
     rejection = cmrr_db(balanced_line, blocked_line, det.f_rep)
 
     cc_values = np.empty((CC_RECORDS, CC_MAX_LAG + 1))
     for r in range(CC_RECORDS):
-        trace, _ = generate_trace(det, vacuum, [0.0], CC_PULSES, _child_seed(seed, 30 + r))
+        trace = _vacuum_trace(det, CC_PULSES, _child_seed(seed, 30 + r))
         areas = _record_areas(trace, det.f_rep)
         batch = apply_calibration(areas, calibrate_vacuum(areas, created_at=trace.t0))
         for m in range(CC_MAX_LAG + 1):

@@ -114,18 +114,36 @@ def integrate_pulse(window, sample_rate: float) -> float:
 
 
 def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
-    """Trapezoidal areas of every window of a trace (equal window lengths)."""
+    """Trapezoidal areas of every window of a trace (equal window lengths).
+
+    Each window is a half-open ``[start, stop)`` sample range of at least
+    two samples inside the trace.  Windows whose starts are evenly spaced
+    by at least their length, as :func:`segment_pulses` gives at an
+    integer number of samples per period, are integrated through a strided
+    view of the trace; any other layout is gathered into a copy first.
+    """
+    samples = np.asarray(trace.samples)
     windows = np.asarray(windows, dtype=np.int64)
     if windows.size == 0:
         return np.zeros(0)
-    n_w = int(windows[0, 1] - windows[0, 0])
-    if np.any(windows[:, 1] - windows[:, 0] != n_w):
+    starts = windows[:, 0]
+    n_w = int(windows[0, 1] - starts[0])
+    if np.any(windows[:, 1] - starts != n_w):
         raise ValueError("windows must share a common length")
+    if n_w < 2:
+        raise ValueError("window must contain at least two samples")
+    if starts.min() < 0 or starts.max() + n_w > samples.size:
+        raise ValueError("windows must lie inside the trace")
     dt = 1.0 / trace.sample_rate
     weights = np.full(n_w, dt)
     weights[0] = weights[-1] = 0.5 * dt
-    idx = windows[:, 0][:, None] + np.arange(n_w)[None, :]
-    return np.asarray(trace.samples)[idx] @ weights
+    step = int(starts[1] - starts[0]) if starts.size > 1 else n_w
+    if step >= n_w and np.all(np.diff(starts) == step):
+        view = np.lib.stride_tricks.sliding_window_view(samples, n_w)
+        rows = view[starts[0] : starts[-1] + 1 : step]
+    else:
+        rows = samples[starts[:, None] + np.arange(n_w)]
+    return rows @ weights
 
 
 def calibrate_vacuum(areas, created_at: float = 0.0) -> CalibrationScale:

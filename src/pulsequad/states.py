@@ -308,12 +308,15 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     pi/2) of order ``d``, so the cumulative density at phase ``theta`` is
     ``table @ cos(order * theta + shift)``.  Columns whose ``rho`` diagonal
     is identically zero are left out: a phase-covariant state has one.
+    Wavefunctions are built only up to the highest Fock level with a
+    nonzero row or column of ``rho`` (one level for vacuum).
     Returns ``(table, order, shift)`` with ``table`` of shape ``(G, R)``.
     """
-    dim = rho.dim
+    nonzero = rho.elements != 0
+    dim = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
     parts = []
     for d in range(dim):
-        diag = np.diagonal(rho.elements, offset=d)
+        diag = np.diagonal(rho.elements[:dim, :dim], offset=d)
         for coeffs, shift in ((diag.real, 0.0), (diag.imag, 0.5 * np.pi)):
             if coeffs.any():
                 parts.append((d, coeffs, shift))

@@ -23,6 +23,7 @@ from pulsequad.characterization import (
     time_bandwidth_product,
     variance_vs_power,
 )
+from pulsequad.cli import _allan_tau_grid, _child_seed, _thinned_vacuum_blocks
 from pulsequad.detector import (
     DetectorConfig,
     DriftModel,
@@ -178,6 +179,47 @@ class TestAllanDeviation:
         base = allan_deviation(QuadratureBatch(values=vals), 1.0, taus)
         scaled = allan_deviation(QuadratureBatch(values=c * vals), 1.0, taus)
         assert np.allclose(scaled.deviations, c * base.deviations, rtol=1e-9)
+
+
+def blockwise_allan(values, f_rep, taus):
+    """Allan deviation by averaging every block on its own for each tau: the
+    ``reshape(...).mean(axis=1)`` form the running sum replaced."""
+    devs, pairs = [], []
+    for tau in taus:
+        m = int(round(f_rep * tau))
+        n_whole = values.size // m
+        diffs = np.diff(values[: n_whole * m].reshape(n_whole, m).mean(axis=1))
+        devs.append(math.sqrt(0.5 * np.mean(diffs**2)))
+        pairs.append(diffs.size)
+    return np.array(devs), np.array(pairs)
+
+
+class TestAllanRunningSum:
+    @pytest.mark.parametrize("record", range(10))
+    def test_matches_blockwise_on_thinned_vacuum_records(self, record):
+        batch = _thinned_vacuum_blocks(DetectorConfig(), _child_seed(0, 50 + record))
+        taus = _allan_tau_grid()
+        curve = allan_deviation(batch, 1e3, taus)
+        devs, pairs = blockwise_allan(batch.values, 1e3, taus)
+        assert np.array_equal(curve.n_pairs, pairs)
+        assert np.max(np.abs(curve.deviations / devs - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_blockwise_on_random_series(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 20_000))
+        values = rng.uniform(-3.0, 3.0) + rng.normal(0.0, rng.uniform(0.1, 10.0), n)
+        blocks = np.unique(rng.integers(1, n // 2 + 1, size=12))
+        curve = allan_deviation(QuadratureBatch(values=values), 1.0, blocks.astype(float))
+        devs, pairs = blockwise_allan(values, 1.0, blocks)
+        assert np.array_equal(curve.n_pairs, pairs)
+        assert np.max(np.abs(curve.deviations / devs - 1)) <= 1e-12
+
+    @pytest.mark.parametrize("value", [0.1, -7.3, 1e6 + 0.1, 2.0**-30])
+    def test_any_constant_series_is_zero(self, value):
+        batch = QuadratureBatch(values=np.full(80_000, value))
+        curve = allan_deviation(batch, 1e3, _allan_tau_grid())
+        assert np.all(curve.deviations == 0.0)
 
 
 class TestStabilityInterval:

@@ -94,6 +94,66 @@ class TestIntegratePulse:
             )
 
 
+def gathered_areas(trace, windows):
+    """Trapezoid areas through an index gather of every window: the layout
+    ``pulse_areas`` used for all windows before the strided view."""
+    windows = np.asarray(windows)
+    n_w = int(windows[0, 1] - windows[0, 0])
+    dt = 1.0 / trace.sample_rate
+    weights = np.full(n_w, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    return trace.samples[windows[:, 0][:, None] + np.arange(n_w)] @ weights
+
+
+class TestPulseAreasLayouts:
+    @pytest.fixture(scope="class")
+    def trace(self):
+        cfg = DetectorConfig()
+        return generate_trace(cfg, StateModel.vacuum(), [0.0], 4000, seed=3)[0]
+
+    @pytest.mark.parametrize(
+        "f_rep, tau_p, t_first",
+        [
+            (80e6, 12.5e-9, 0.0),  # default: contiguous windows, step == length
+            (80e6, 10e-9, 1.5e-9),  # narrower windows, step > length
+            (76e6, 12e-9, 0.0),  # 26.3 samples per period: uneven starts
+        ],
+    )
+    def test_matches_gather_bit_for_bit(self, trace, f_rep, tau_p, t_first):
+        windows = segment_pulses(trace, f_rep, t_first, tau_p)
+        assert len(windows) > 3000
+        assert np.array_equal(pulse_areas(trace, windows), gathered_areas(trace, windows))
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            [[40, 65]],  # one window
+            [[0, 25], [30, 55], [100, 125], [101, 126]],  # uneven
+            [[0, 25], [10, 35], [20, 45]],  # evenly spaced but overlapping
+            [[90, 115], [60, 85], [30, 55]],  # descending
+            [[5, 30], [5, 30]],  # repeated
+        ],
+    )
+    def test_explicit_layouts_match_gather(self, trace, windows):
+        assert np.array_equal(pulse_areas(trace, windows), gathered_areas(trace, windows))
+
+    @pytest.mark.parametrize(
+        "windows",
+        [
+            [[-2, 3]],  # starts before the trace
+            [[8, 12]],  # runs past its end
+            [[0, 4], [4, 8], [8, 12]],  # evenly spaced, the last one overruns
+            [[3, 4]],  # one sample
+            [[3, 3]],  # empty
+            [[5, 3]],  # reversed
+        ],
+    )
+    def test_bad_windows_rejected(self, windows):
+        trace = TraceBuffer(sample_rate=1.0, t0=0.0, samples=np.arange(10.0))
+        with pytest.raises(ValueError):
+            pulse_areas(trace, np.array(windows))
+
+
 class TestCalibration:
     def test_moment_estimators_converge(self):
         rng = np.random.default_rng(1)

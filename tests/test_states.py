@@ -394,3 +394,65 @@ class TestSampleQuadratures:
         phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, distinct)
         sample_quadratures(StateModel.coherent(0.6 - 0.3j), phases, 1000, seed=8)
         assert len(calls) == 1
+
+
+def full_cutoff_harmonics(rho, grid):
+    """The cumulative harmonic table before support trimming: wavefunctions
+    and harmonics of every level up to the cutoff."""
+    dim = rho.dim
+    parts = []
+    for d in range(dim):
+        diag = np.diagonal(rho.elements, offset=d)
+        for coeffs, shift in ((diag.real, 0.0), (diag.imag, 0.5 * np.pi)):
+            if coeffs.any():
+                parts.append((d, coeffs, shift))
+    psi = fock_wavefunctions(dim, grid)
+    dx = grid[1] - grid[0]
+    table = np.zeros((grid.size, len(parts)))
+    for r, (d, coeffs, _) in enumerate(parts):
+        q = (2.0 if d else 1.0) * (coeffs @ (psi[: dim - d] * psi[d:]))
+        np.cumsum(0.5 * (q[1:] + q[:-1]) * dx, out=table[1:, r])
+    order = np.array([d for d, _, _ in parts], dtype=float)
+    shift = np.array([s for _, _, s in parts])
+    return table, order, shift
+
+
+# (state, cutoff, Fock levels the trimmed table needs)
+TRIMMED_STATES = {
+    "vacuum": (StateModel.vacuum(), 10, 1),
+    "fock 2 cutoff 5": (StateModel.fock(2), 5, 3),
+    "fock 2 cutoff 10": (StateModel.fock(2), 10, 3),
+    "lossy mixture": (SAMPLED_STATES["lossy mixture"], 6, 2),
+    "complex coherent": (StateModel.coherent(0.6 - 0.3j), 10, 10),
+}
+
+
+class TestSupportTrimmedTable:
+    @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
+    def test_bit_identical_to_full_cutoff(self, monkeypatch, case):
+        state, cutoff, _ = TRIMMED_STATES[case]
+        rho = state_density_matrix(state, cutoff)
+        grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_POINTS)
+        for got, want in zip(
+            states._cumulative_harmonics(rho, grid), full_cutoff_harmonics(rho, grid)
+        ):
+            assert np.array_equal(got, want)
+        phases = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 3000)
+        trimmed = sample_quadratures(state, phases, phases.size, seed=10, cutoff=cutoff)
+        monkeypatch.setattr(states, "_cumulative_harmonics", full_cutoff_harmonics)
+        full = sample_quadratures(state, phases, phases.size, seed=10, cutoff=cutoff)
+        assert np.array_equal(trimmed.values, full.values)
+
+    @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
+    def test_wavefunctions_built_to_the_support(self, monkeypatch, case):
+        state, cutoff, levels = TRIMMED_STATES[case]
+        calls = []
+        original = states.fock_wavefunctions
+
+        def counting(n_levels, x):
+            calls.append(n_levels)
+            return original(n_levels, x)
+
+        monkeypatch.setattr(states, "fock_wavefunctions", counting)
+        sample_quadratures(state, [0.0, 1.0], 2, seed=11, cutoff=cutoff)
+        assert calls == [levels]
