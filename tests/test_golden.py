@@ -81,14 +81,14 @@ CONFIGS = {
 
 DIGESTS = {
     "characterize": {
-        "allan.csv": "7003643bdcec7c1ee62cc5e2942a27c8c89cce3a20a44df6bd6fc4d7ec97dcab",
+        "allan.csv": "e561ae2b8b66c1f282a4c0392fb0eef797f04a358c0ea05ce12339d62c2fdfb8",
         "cc.csv": "1588ada2e23e56229c6efac1bae6d2faed79751e89503fcf66e76535fc3da763",
         "noise_curve.csv": "d14e89c6bc7782fbc3602f97c2076d0edba075b804ede6e43ff615326373e69b",
         "report.json": "7193c775e13c042ded4b829fc8565808e6a80dc1c66831d0f402be72d0828a40",
         "spectrum.csv": "9584562fbfd527f9a0703d3e207bcacd8e22410992bdf675f86ea1e0c76ba00b",
     },
     "characterize-noiseless": {
-        "allan.csv": "a4ffd7420af23205ed6f33e8b22b4d3736596a864e69a9f3ab06bbb7add8006e",
+        "allan.csv": "40843c9b88a24475c97e9b7cd12838aa42a10b974ec64e78e89f4e94475b093d",
         "cc.csv": "4a378f4eecdbcd70eb0c75c5501b564f966cf1bcaed024d57e2e5c29ae8e938d",
         "noise_curve.csv": "2afdeb3f8ae228bfeac592341d5661b14d142588975ac0c6e36afd38af4013bf",
         "report.json": "04e888d7ea50ff5631630951a65eef80224803c238c3196c7231031df5dd64bb",
