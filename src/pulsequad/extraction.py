@@ -137,6 +137,8 @@ def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
     dt = 1.0 / trace.sample_rate
     weights = np.full(n_w, dt)
     weights[0] = weights[-1] = 0.5 * dt
+    # a row stride below the row length is no BLAS layout, and matmul would
+    # then sum in its own order; the gather keeps those layouts on BLAS
     step = int(starts[1] - starts[0]) if starts.size > 1 else n_w
     if step >= n_w and np.all(np.diff(starts) == step):
         view = np.lib.stride_tricks.sliding_window_view(samples, n_w)
