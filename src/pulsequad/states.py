@@ -314,9 +314,10 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     """
     nonzero = rho.elements != 0
     dim = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
+    elements = rho.elements[:dim, :dim]
     parts = []
     for d in range(dim):
-        diag = np.diagonal(rho.elements[:dim, :dim], offset=d)
+        diag = np.diagonal(elements, offset=d)
         for coeffs, shift in ((diag.real, 0.0), (diag.imag, 0.5 * np.pi)):
             if coeffs.any():
                 parts.append((d, coeffs, shift))
