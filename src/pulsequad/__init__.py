@@ -54,8 +54,4 @@ from .states import (
     state_density_matrix,
     wigner,
 )
-from .tomography import (
-    MleResult,
-    mle_reconstruct,
-    symmetry_offset_check,
-)
+from .tomography import MleResult, mle_reconstruct

@@ -262,11 +262,14 @@ def apply_loss_adjoint(op: np.ndarray, eta: float) -> np.ndarray:
 
     Composing a measurement operator with this map models detection at
     efficiency ``eta``: ``tr(loss(rho) op) == tr(rho adjoint(op))``.
+    ``op`` may carry leading axes, ``(..., dim, dim)``: each trailing
+    ``dim x dim`` block is mapped on its own.
     """
+    op = np.asarray(op)
     if eta == 1.0:
-        return np.asarray(op)
-    ks = loss_kraus(op.shape[0], eta)
-    return np.einsum("kim,ij,kjn->mn", ks, np.asarray(op), ks)
+        return op
+    ks = loss_kraus(op.shape[-1], eta)
+    return np.einsum("kim,...ij,kjn->...mn", ks, op, ks)
 
 
 def pure_state_vector(state: StateModel, cutoff: int) -> np.ndarray | None:
@@ -301,13 +304,37 @@ def state_density_matrix(state: StateModel, cutoff: int) -> DensityMatrix:
     return rho
 
 
+def _harmonic_layout(dim: int):
+    """The real harmonic columns of a density's phase dependence.
+
+    ``p(theta) = sum_d w_d Re[exp(i d theta) c_d]`` is written as
+    ``sum_k w_k a_k cos(order_k * theta + shift_k)``: column 0 is order 0,
+    then ``(d, a = Re c_d, shift 0)`` and ``(d, a = Im c_d, shift pi/2)`` for
+    ``d = 1 .. dim-1``, with ``w_0 = 1`` and ``w_d = 2``.  Both the sampler
+    and the likelihood of :func:`pulsequad.tomography.mle_reconstruct` use
+    this layout; :func:`_harmonic_factors` evaluates its cosines.
+    Returns ``(order, shift, weight)``, each of length ``2 * dim - 1``.
+    """
+    order = np.repeat(np.arange(dim), 2)[1:].astype(float)
+    shift = np.concatenate(([0.0], np.tile([0.0, 0.5 * np.pi], dim - 1)))
+    weight = np.where(order > 0, 2.0, 1.0)
+    return order, shift, weight
+
+
+def _harmonic_factors(phases, order, shift) -> np.ndarray:
+    """``cos(order * theta + shift)`` of :func:`_harmonic_layout`'s columns,
+    shape ``(len(phases), len(order))``."""
+    return np.cos(np.multiply.outer(phases, order) + shift)
+
+
 def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     """Trapezoid cumulative integrals of the real harmonic columns of ``p(x|theta)``.
 
-    Column r holds ``w_d Re Q_d`` (phase shift 0) or ``w_d Im Q_d`` (shift
-    pi/2) of order ``d``, so the cumulative density at phase ``theta`` is
+    The columns follow :func:`_harmonic_layout` with
+    ``c_d = Q_d(x) = sum_m rho_{m,m+d} psi_m(x) psi_{m+d}(x)``, so the
+    cumulative density at phase ``theta`` is
     ``table @ cos(order * theta + shift)``.  Columns whose ``rho`` diagonal
-    is identically zero are left out: a phase-covariant state has one.
+    part is identically zero are left out: a phase-covariant state has one.
     Wavefunctions are built only up to the highest Fock level with a
     nonzero row or column of ``rho`` (one level for vacuum).
     Returns ``(table, order, shift)`` with ``table`` of shape ``(G, R)``.
@@ -315,21 +342,18 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     nonzero = rho.elements != 0
     dim = int(np.flatnonzero(nonzero.any(axis=0) | nonzero.any(axis=1))[-1]) + 1
     elements = rho.elements[:dim, :dim]
-    parts = []
-    for d in range(dim):
-        diag = np.diagonal(elements, offset=d)
-        for coeffs, shift in ((diag.real, 0.0), (diag.imag, 0.5 * np.pi)):
-            if coeffs.any():
-                parts.append((d, coeffs, shift))
+    order, shift, weight = _harmonic_layout(dim)
+    diags = [np.diagonal(elements, offset=int(d)) for d in order]
+    coeffs = [diag.imag if s else diag.real for diag, s in zip(diags, shift)]
+    keep = [k for k, c in enumerate(coeffs) if c.any()]
     psi = fock_wavefunctions(dim, grid)
     dx = grid[1] - grid[0]
-    table = np.zeros((grid.size, len(parts)))
-    for r, (d, coeffs, _) in enumerate(parts):
-        q = (2.0 if d else 1.0) * (coeffs @ (psi[: dim - d] * psi[d:]))
+    table = np.zeros((grid.size, len(keep)))
+    for r, k in enumerate(keep):
+        d = int(order[k])
+        q = weight[k] * (coeffs[k] @ (psi[: dim - d] * psi[d:]))
         np.cumsum(0.5 * (q[1:] + q[:-1]) * dx, out=table[1:, r])
-    order = np.array([d for d, _, _ in parts], dtype=float)
-    shift = np.array([s for _, _, s in parts])
-    return table, order, shift
+    return table, order[keep], shift[keep]
 
 
 def sample_quadratures(
@@ -369,7 +393,7 @@ def sample_quadratures(
     values = np.empty(n)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        coef = np.cos(np.multiply.outer(phases[block], order) + shift)
+        coef = _harmonic_factors(phases[block], order, shift)
         target = u[block] * (coef @ table[last])
         # ends with cdf(pos) <= target < cdf(pos + 1), since cdf(0) = 0
         pos = np.zeros(target.size, dtype=np.intp)

@@ -4,8 +4,14 @@ The reconstruction bins samples into (phase, quadrature) cells, builds one POVM
 element per occupied cell (the projector density integrated over the cell,
 composed with the detection-loss adjoint), and iterates ``rho <- N[R rho R]``
 with ``R = sum_j (f_j / p_j) Pi_j`` until the likelihood gain stalls.
-``sample_quadratures`` lives in :mod:`pulsequad.states` and is re-exported
-here.
+
+A cell's phase enters only through the real harmonic layout that the
+sampler also uses (:mod:`pulsequad.states`): ``K = 2 dim - 1`` columns
+``cos(order * theta + shift)``.  So ``p = coef . A[bin]``, with ``coef``
+the cell's columns and ``A`` a real per-bin matrix formed from ``rho`` once
+per evaluation, and ``R`` comes from one segment sum of ``weights * coef``
+per bin over the cells sorted by bin.  ``sample_quadratures`` lives in
+:mod:`pulsequad.states` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -17,6 +23,8 @@ import numpy as np
 from .extraction import QuadratureBatch, write_csv
 from .states import (
     DensityMatrix,
+    _harmonic_factors,
+    _harmonic_layout,
     apply_loss_adjoint,
     fock_wavefunctions,
     sample_quadratures,
@@ -26,7 +34,6 @@ __all__ = [
     "MleResult",
     "sample_quadratures",
     "mle_reconstruct",
-    "symmetry_offset_check",
     "write_density_matrix_csv",
     "write_wigner_csv",
     "write_photon_statistics_csv",
@@ -68,10 +75,7 @@ def _bin_operators(bin_lo: np.ndarray, bin_width: float, cutoff: int, eta: float
     xq = bin_lo[:, None] + (_QUAD_NODES[None, :] + 1.0) * (bin_width / 2.0)
     wq = _QUAD_WEIGHTS * (bin_width / 2.0)
     psi = fock_wavefunctions(cutoff, xq.ravel()).reshape(cutoff, bin_lo.size, -1)
-    ops = np.einsum("mbq,nbq,q->bmn", psi, psi, wq)
-    if eta < 1.0:
-        ops = np.stack([apply_loss_adjoint(op, eta) for op in ops])
-    return ops
+    return apply_loss_adjoint(np.einsum("mbq,nbq,q->bmn", psi, psi, wq), eta)
 
 
 def mle_reconstruct(
@@ -89,6 +93,16 @@ def mle_reconstruct(
     log-likelihood history is non-decreasing; if a full ``R rho R`` step
     would decrease it, the step is blended toward the identity until it
     does not.
+
+    Cells are sorted by quadrature bin once, so each bin is a contiguous
+    segment.  A cell's probability is ``p = coef . A[bin]``: ``coef``
+    holds the cell's ``cos(order * theta + shift)`` columns of the real
+    harmonic layout of :mod:`pulsequad.states`, and for column ``k`` of
+    order ``d``, ``A[b, k] = w_k Re[exp(-i shift_k) sum_m O_b[m+d, m]
+    rho[m, m+d]]`` (the Re part at shift 0, the Im part at shift pi/2).
+    ``R`` is the transpose of that product: one segment sum of
+    ``weights * coef`` per bin and column, mapped through the bin
+    operators ``O_b``.
     """
     if batch.phases is None:
         raise ValueError("reconstruction requires per-sample LO phases")
@@ -105,38 +119,32 @@ def mle_reconstruct(
     cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(
         batch.values, batch.phases, bin_width
     )
-    ops = _bin_operators(bin_lo, bin_width, dim, eta)
-    op_diags = [np.diagonal(ops, offset=-d, axis1=1, axis2=2) for d in range(dim)]
-    phase_fac = np.exp(1j * np.outer(cell_phase, np.arange(dim)))
-    # the same factors as contiguous (dim, n_cells) rows of cos and sin, for the scatter
-    phase_cos, phase_sin = phase_fac.real.T.copy(), phase_fac.imag.T.copy()
-    n_bins = bin_lo.size
+    ops = _bin_operators(bin_lo, bin_width, dim, eta).reshape(bin_lo.size, dim * dim)
+    order, shift, weight = _harmonic_layout(dim)
+    # column k of order d reads Re[exp(-i shift_k) sum_m O_b[m+d, m] rho[m, m+d]]:
+    # fold[k] holds exp(-i shift_k) on the d-th diagonal below the main one
+    unit = np.where(shift == 0.0, 1.0, -1j)
+    fold = np.array([u * np.eye(dim, k=-int(d)) for d, u in zip(order, unit)])
+    # every bin holds a cell (_binned_cells keeps occupied bins only), so no
+    # segment of the reduceat below is empty
+    by_bin = np.argsort(bin_of_cell, kind="stable")
+    cells_per_bin = np.bincount(bin_of_cell, minlength=bin_lo.size)
+    bin_starts = np.cumsum(cells_per_bin) - cells_per_bin
+    coef = np.ascontiguousarray(_harmonic_factors(cell_phase[by_bin], order, shift).T)
+    counts = counts[by_bin]
     freqs = counts / counts.sum()
 
     def cell_probs(rho):
-        q = np.empty((dim, n_bins), dtype=complex)
-        for d in range(dim):
-            q[d] = op_diags[d] @ np.diagonal(rho, offset=d)
-        qg = q[:, bin_of_cell]
-        p = qg[0].real + 2.0 * np.sum(phase_fac[:, 1:].T * qg[1:], axis=0).real
+        per_bin = weight[:, None] * ((fold * rho.T).real.reshape(order.size, -1) @ ops.T)
+        p = np.einsum("kj,kj->j", coef, np.repeat(per_bin, cells_per_bin, axis=1))
         return np.maximum(p, 1e-300)
 
     def iteration_operator(weights):
-        # s[b, d] = sum over the cells of bin b of weights * exp(i d phase),
-        # added in cell order; the columns s[:, d] round in the matrix
-        # product below exactly as the former sparse scatter's did
-        s = np.empty((n_bins, dim), dtype=complex)
-        for d in range(dim):
-            s.real[:, d] = np.bincount(bin_of_cell, weights * phase_cos[d], minlength=n_bins)
-            s.imag[:, d] = np.bincount(bin_of_cell, weights * phase_sin[d], minlength=n_bins)
-        r = np.zeros((dim, dim), dtype=complex)
-        for d in range(dim):
-            diag = s[:, d] @ op_diags[d]
-            idx = np.arange(dim - d)
-            r[idx + d, idx] = diag
-            if d > 0:
-                r[idx, idx + d] = diag.conj()
-        return r
+        # the transpose of cell_probs: segment sums of weights * coef per bin,
+        # through the bin operators, into R's lower triangle; the rest is Hermitian
+        s = np.add.reduceat(coef * weights, bin_starts, axis=1)
+        lower = np.einsum("kmn,kmn->mn", (s @ ops).reshape(fold.shape), fold)
+        return lower + np.tril(lower, -1).conj().T
 
     rho = np.eye(dim, dtype=complex) / dim
     p = cell_probs(rho)
@@ -171,39 +179,6 @@ def mle_reconstruct(
         history=np.asarray(history),
         converged=converged,
     )
-
-
-def symmetry_offset_check(
-    batch: QuadratureBatch, phase_tol: float = 0.05, min_samples: int = 100
-) -> tuple[float, float]:
-    """Estimate a calibration offset from the X -> -X symmetry of opposite phases.
-
-    The quadrature densities at phases theta and theta + pi mirror each
-    other, so the half-sum of the two group means estimates a common
-    offset.  Returns ``(offset, standard_error)``; raises if no usable
-    phase pairs exist.
-    """
-    if batch.phases is None:
-        raise ValueError("offset check requires per-sample LO phases")
-    uph, inv = np.unique(batch.phases, return_inverse=True)
-    stats = []
-    for g, theta in enumerate(uph):
-        vals = batch.values[inv == g]
-        if vals.size >= min_samples:
-            stats.append((theta, vals.mean(), vals.var(ddof=1) / vals.size))
-    estimates = []
-    variances = []
-    for i in range(len(stats)):
-        for j in range(i + 1, len(stats)):
-            sep = (stats[j][0] - stats[i][0]) % (2.0 * np.pi)
-            if abs(sep - np.pi) <= phase_tol:
-                estimates.append(0.5 * (stats[i][1] + stats[j][1]))
-                variances.append(0.25 * (stats[i][2] + stats[j][2]))
-    if not estimates:
-        raise ValueError("no phase pairs separated by pi within tolerance")
-    offset = float(np.mean(estimates))
-    sigma = float(np.sqrt(np.sum(variances)) / len(estimates))
-    return offset, sigma
 
 
 def write_density_matrix_csv(rho: DensityMatrix, path) -> None:

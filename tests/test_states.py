@@ -444,6 +444,22 @@ class TestSupportTrimmedTable:
         assert np.array_equal(trimmed.values, full.values)
 
     @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
+    def test_columns_follow_the_shared_layout(self, case):
+        # the MLE reads the same layout: order 0, then (d, shift 0) and
+        # (d, shift pi/2) for d >= 1, with w_0 = 1 and w_d = 2
+        order, shift, weight = states._harmonic_layout(3)
+        assert np.array_equal(order, [0, 1, 1, 2, 2])
+        assert np.array_equal(shift, [0, 0, 0.5 * np.pi, 0, 0.5 * np.pi])
+        assert np.array_equal(weight, [1, 2, 2, 2, 2])
+        state, cutoff, _ = TRIMMED_STATES[case]
+        rho = state_density_matrix(state, cutoff)
+        grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, 64)
+        _, order, shift = states._cumulative_harmonics(rho, grid)
+        full = list(zip(*states._harmonic_layout(cutoff)[:2]))
+        at = [full.index(column) for column in zip(order, shift)]
+        assert at == sorted(set(at))
+
+    @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
     def test_wavefunctions_built_to_the_support(self, monkeypatch, case):
         state, cutoff, levels = TRIMMED_STATES[case]
         calls = []

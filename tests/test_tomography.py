@@ -10,10 +10,10 @@ from scipy.stats import ks_2samp
 from pulsequad.extraction import QuadratureBatch
 from pulsequad.states import StateModel, coherent_amplitudes, fidelity_pure
 from pulsequad.tomography import (
+    _bin_operators,
     _binned_cells,
     mle_reconstruct,
     sample_quadratures,
-    symmetry_offset_check,
 )
 
 from test_states import random_density_matrix
@@ -173,30 +173,44 @@ class TestBinnedCells:
         assert np.all(np.abs(values[order] - lo - 0.5 * width) <= width)
 
 
-class TestSymmetryOffsetCheck:
-    def test_unbiased_batch(self):
-        state = StateModel.coherent(0.86)
-        a = sample_quadratures(state, [0.3], 5000, seed=12)
-        b = sample_quadratures(state, [0.3 + np.pi], 5000, seed=13)
-        batch = QuadratureBatch(
-            values=np.concatenate([a.values, b.values]),
-            phases=np.concatenate([a.phases, b.phases]),
-        )
-        offset, sigma = symmetry_offset_check(batch)
-        assert abs(offset) < 3 * sigma
+def dense_rrr_reference(batch, cutoff, bin_width, steps):
+    """Unblended R rho R steps on dense per-cell POVM elements.
 
-    def test_injected_offset_recovered(self):
-        state = StateModel.coherent(0.86)
-        a = sample_quadratures(state, [0.3], 5000, seed=14)
-        b = sample_quadratures(state, [0.3 + np.pi], 5000, seed=15)
-        batch = QuadratureBatch(
-            values=np.concatenate([a.values, b.values]) + 0.3,
-            phases=np.concatenate([a.phases, b.phases]),
-        )
-        offset, sigma = symmetry_offset_check(batch)
-        assert offset == pytest.approx(0.3, abs=3 * sigma)
+    ``Pi_j = U_j O_b U_j^dagger`` with ``U_j = diag(exp(i n theta_j))``, the
+    rotation that takes ``X`` to ``X_theta``; ``p_j = tr(rho Pi_j)`` and
+    ``R = sum_j (f_j / p_j) Pi_j``.  Returns the likelihood trail and rho.
+    """
+    cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(
+        batch.values, batch.phases, bin_width
+    )
+    ops = _bin_operators(bin_lo, bin_width, cutoff, 1.0)
+    u = np.exp(1j * np.outer(cell_phase, np.arange(cutoff)))
+    povm = u[:, :, None] * ops[bin_of_cell] * u.conj()[:, None, :]
+    freqs = counts / counts.sum()
+    rho = np.eye(cutoff, dtype=complex) / cutoff
+    history = []
+    for step in range(steps + 1):
+        p = np.einsum("nm,jmn->j", rho, povm).real
+        history.append(counts @ np.log(p))
+        if step < steps:
+            r = np.einsum("j,jmn->mn", freqs / p, povm)
+            rho = r @ rho @ r
+            rho = 0.5 * (rho + rho.conj().T)
+            rho /= np.trace(rho).real
+    return np.array(history), rho, bin_lo.size
 
-    def test_no_pairs_is_an_error(self):
-        batch = sample_quadratures(StateModel.vacuum(), [0.2], 1000, seed=16)
-        with pytest.raises(ValueError, match="pairs"):
-            symmetry_offset_check(batch)
+
+class TestRealHarmonicLayout:
+    @pytest.mark.parametrize("bin_width, min_bins", [(0.1, 50), (0.002, 1000)])
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_matches_dense_rrr_steps(self, bin_width, min_bins, steps):
+        # a complex alpha at random phases makes every Re and Im column live
+        phases = np.random.default_rng(40).uniform(0.0, 2.0 * np.pi, 3000)
+        batch = sample_quadratures(StateModel.coherent(0.6 - 0.3j), phases, 3000, seed=41)
+        history, rho, n_bins = dense_rrr_reference(batch, 6, bin_width, steps)
+        assert n_bins >= min_bins
+        assert np.all(np.diff(history) > 0)  # so no step of the MLE was blended
+        result = mle_reconstruct(batch, 6, bin_width=bin_width, max_iter=steps)
+        assert result.iterations == steps
+        assert np.allclose(result.history, history, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(result.rho.elements - rho)) <= 1e-12
