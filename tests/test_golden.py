@@ -95,39 +95,39 @@ DIGESTS = {
         "spectrum.csv": "e7b134e7aba210c0cc9ad1f223f269b3d9520784409f6d3a8d221324a15d3b5c",
     },
     "tomo-mixture-random": {
-        "photon_stats.csv": "16e75bba98b61a0bfca5c0c5f395811fea8fa1f859b07edc2e79c8451974f598",
-        "rho.csv": "0c016855537a09de13d3423445f961c5a21438800e45c05ad48370f86ccf5aa1",
+        "photon_stats.csv": "722e2639f5b58da349d07748772bc128f3d99710e155a9962e69a599b6ddafe5",
+        "rho.csv": "6287f31bde4dc30ab724acaa6015b8b141cf57ffcf23beb2d6f642d849341e2e",
         "samples.csv": "03f6664f474bc9bfd4486b34c2dd4318d27740843145cd545d909a93c1762e9b",
-        "summary.json": "d251774876725bfb44b7b8035e64140564e92142e87a6eae9e51b26e8c071f91",
-        "wigner.csv": "8975da24ae1634b5fe7cd5709bddb93cafc483348c3af6cdff2b79d82f0ab755",
+        "summary.json": "b123c5474dd992c97a46f83e3a141bc2825a151308686de94e7fe11cf1d99f45",
+        "wigner.csv": "2dcdddb64244efad59c4c2b8e788dc0626bd77a9133c23ed2457db2efe07587c",
     },
     "tomo-coherent-list": {
-        "photon_stats.csv": "a08e973e2fb7e330f210d8fa4b6fffaf5397c4ef8d5c7c3b2b2686aef16014f2",
-        "rho.csv": "ba631725b5eeeeb3e7f3157779dc91a039d08989d46188991fa047572f9c4c51",
+        "photon_stats.csv": "49b784789a6270f2bf42916df159e05b1b90299787b99a1e411e689da1638057",
+        "rho.csv": "6635afe309531af1a58e86b14c1d51376cde44b841f42420011e9aa9258c2b5f",
         "samples.csv": "4956fe002e3df50ad639514ac92c273f59bae4a39ceb7eeb65d2a9b7c9d79ced",
-        "summary.json": "ec8ffa1a4dec56dc2ffa200e95c56e40f5525ca715b57b51bb6375723d8792e7",
-        "wigner.csv": "35be55ab04477af9018d67507c84aea64750bcd4c33929f4fb64855e07f62df2",
+        "summary.json": "9449450305ae673fbd403c1f122bedba482fdf16ebea3a3db71c655181efca3d",
+        "wigner.csv": "3a021387cafe1cf0eae0bbc5c41ac25bf990dbbbcd7943676a08e13c500a5c8c",
     },
     "tomo-coherent-sweep": {
-        "photon_stats.csv": "ef1fdd658ddddc0e876e63ac7f42b9b83d1ca1b22ffe26864ebb18bee7bb159b",
-        "rho.csv": "ebd6801a43fc2a573c3fb1f3647b98942654b303e7ae22c9322998470d3ab290",
+        "photon_stats.csv": "14e32ad7203c4a91a03e85c11faf73b29ef16bf0a20fbd60fd559319b2f18354",
+        "rho.csv": "1a2d9f1ffca028d5553aab97a510c855c0205a34b556195ef947f505c1149bf3",
         "samples.csv": "a69ac953553db755484e7818b50350c1f5f7a4ce638ea1b0806a23227435022c",
-        "summary.json": "397ee62a8df01fbd37a0e300cb110ec9a5fe1f5916270e8d1d15c3316e64a205",
-        "wigner.csv": "f652ad1aa21fd90b45910436b04276b98b91eeb91203292d3261a2e99561e920",
+        "summary.json": "995939491567ae280aa739e79f727ecde5183908499688ffe034882c98adf673",
+        "wigner.csv": "9685c869113a2619317eb76a973d0298a157288a3f2e853afd26e9e43ee66be4",
     },
     "tomo-fock-random": {
-        "photon_stats.csv": "1a13dce82396b69c1a19fa666965b4eb58d99a395faf8b5577f463dd4beff9a7",
-        "rho.csv": "5623437eb247b0513fb077f0decdf7269773258434f1ba529717b3cb1896e11d",
+        "photon_stats.csv": "575ff971a0faf0a98eb27d546d26733a75b18934c781522b744c20c65735fbfd",
+        "rho.csv": "96c6a4ba5c3c600c611b58cdedd060f0685701f2632e0e486938d0dc53d92ce6",
         "samples.csv": "3c9560510dbcd7b0010ef023de6fb4702ee43e012ba7836a797979d656320b3e",
-        "summary.json": "44263dd4cbe6c0baeaeec68c7ad3d6b31b59b2b51db7da57020cd086f53cd171",
-        "wigner.csv": "fd12fb8261603ddb635f1955d553ce6b46e77204e5ac19595431e41c9e7bb243",
+        "summary.json": "a087cec35cd640d4b5a6c07f4999776ef1e56d7ae4a2d84fbcd078e0145d67b9",
+        "wigner.csv": "9c1b84bce8c30ef0c0f50be2fead8739c190be98e46a6b6ff31f2c064458c61d",
     },
     "tomo-vacuum-default": {
-        "photon_stats.csv": "158b4bbaccf16fce4e47c54d5d65a17cf676506823570b99d722d8ba35fc378f",
-        "rho.csv": "358545af5c45da7a86683e8baf464fc2a649b8ab081ff8a34fc582157231ae2d",
+        "photon_stats.csv": "a78ba85fa15ece204fc3651e892b0dc5e9f89053cc16a41851d8adb41e697f0a",
+        "rho.csv": "a70b2c272decf523c5a29971387c2f3d2d3af36047457ecd0c33eeaf19f5560e",
         "samples.csv": "993ffd0214736e4f07a95fdb54fcaca2a985cfab13014ad4242f37a75e0ac154",
-        "summary.json": "3f0fd1f960c947fc12e98d1de6dbc797612bd5f0bbe70aafd29e66295ca55700",
-        "wigner.csv": "8ea04db602da96aaccc300f817987560a67bcbc5cabfb6108c5c9b050e0a6f75",
+        "summary.json": "905981020c132401dd2367a63279ccde29b426ffc593111d9027bebb225757b6",
+        "wigner.csv": "98c31f6301fb7fa7eb8ec21c5ed07d5c0d9e9177b916a052c86ba6fb78052f14",
     },
     "trace-gaussian": {
         "trace.bin": "06ed3c7cf5abf260377ec20cd84951273cae704327e1af76e62822aec8910b8c",
