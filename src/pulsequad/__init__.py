@@ -9,7 +9,9 @@ from .detector import (
     GroundTruth,
     TraceBuffer,
     area_scale,
+    electronic_only_areas,
     electronic_only_trace,
+    generate_areas,
     generate_trace,
     photons_per_pulse,
     single_diode_trace,

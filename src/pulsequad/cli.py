@@ -44,7 +44,9 @@ from .detector import (
     DetectorConfig,
     _child_seed,
     _seeded_rng,
+    electronic_only_areas,
     electronic_only_trace,
+    generate_areas,
     generate_trace,
     single_diode_trace,
     write_trace_binary,
@@ -54,8 +56,6 @@ from .extraction import (
     QuadratureBatch,
     apply_calibration,
     calibrate_vacuum,
-    pulse_areas,
-    segment_pulses,
     write_batch_csv,
 )
 from .states import (
@@ -301,9 +301,8 @@ def _vacuum_trace(det: DetectorConfig, n_pulses: int, seed: int):
     return generate_trace(det, StateModel.vacuum(), [0.0], n_pulses, seed)[0]
 
 
-def _record_areas(trace, f_rep: float) -> np.ndarray:
-    windows = segment_pulses(trace, f_rep, 0.0, 1.0 / f_rep)
-    return pulse_areas(trace, windows)
+def _vacuum_areas(det: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
+    return generate_areas(det, StateModel.vacuum(), [0.0], n_pulses, seed)
 
 
 def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
@@ -329,8 +328,8 @@ def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
 def _allan_tau_grid() -> np.ndarray:
     max_m = int(ALLAN_DURATION_S / ALLAN_BLOCK_S) // 2
     exps = np.arange(0.0, math.log10(max_m) + 1e-9, 0.05)  # 20 points per decade
-    m = np.unique(np.round(10.0**exps).astype(int))
-    m = m[(m >= 1) & (m <= max_m)]
+    m = np.round(10.0**exps).astype(int)  # nondecreasing
+    m = m[(np.diff(m, prepend=0) > 0) & (m <= max_m)]  # np.unique would import numpy.ma
     return m * ALLAN_BLOCK_S
 
 
@@ -340,20 +339,16 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
     det = config.detector
     seed = config.seed
 
-    # each trace is reduced to its areas or spectrum as soon as it is drawn,
-    # so at most one long trace is alive at a time
+    # area records are integrated block by block as they are drawn and never
+    # hold a trace; only the four spectrum records below hold one, in turn
     points = []
     for i, frac in enumerate(POWER_FRACTIONS):
         cfg_i = det.with_power(det.p_lo * frac)
-        areas = _record_areas(
-            _vacuum_trace(cfg_i, config.n_pulses, _child_seed(seed, i)), det.f_rep
-        )
+        areas = _vacuum_areas(cfg_i, config.n_pulses, _child_seed(seed, i))
         points.append((cfg_i.p_lo, float(np.var(areas, ddof=1))))
     curve = variance_vs_power(points)
 
-    elec_areas = _record_areas(
-        electronic_only_trace(det, config.n_pulses, _child_seed(seed, 10)), det.f_rep
-    )
+    elec_areas = electronic_only_areas(det, config.n_pulses, _child_seed(seed, 10))
     var_elec = float(np.var(elec_areas, ddof=1))
     var_total = points[-1][1]
     if var_elec > 0.0:
@@ -383,9 +378,8 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
 
     cc_values = np.empty((CC_RECORDS, CC_MAX_LAG + 1))
     for r in range(CC_RECORDS):
-        trace = _vacuum_trace(det, CC_PULSES, _child_seed(seed, 30 + r))
-        areas = _record_areas(trace, det.f_rep)
-        batch = apply_calibration(areas, calibrate_vacuum(areas, created_at=trace.t0))
+        areas = _vacuum_areas(det, CC_PULSES, _child_seed(seed, 30 + r))
+        batch = apply_calibration(areas, calibrate_vacuum(areas))
         for m in range(CC_MAX_LAG + 1):
             cc_values[r, m] = correlation_coefficient(batch, m)[0]
     cc_rows = tuple(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .extraction import write_csv
+from .extraction import _trapezoid_rows, write_csv
 from .states import StateModel, sample_quadratures
 
 __all__ = [
@@ -27,8 +27,10 @@ __all__ = [
     "photons_per_pulse",
     "area_scale",
     "generate_trace",
+    "generate_areas",
     "single_diode_trace",
     "electronic_only_trace",
+    "electronic_only_areas",
     "write_trace_csv",
     "write_trace_binary",
     "read_trace_binary",
@@ -38,7 +40,10 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 PLANCK = 6.62607015e-34
 SPEED_OF_LIGHT = 2.99792458e8
 
-TRACE_MAGIC = b"PQTRACE1"
+TRACE_MAGIC_V1 = b"PQTRACE1"  # 24-byte header without t0; still read
+TRACE_MAGIC = b"PQTRACE2"
+
+BLOCK_PULSES = 4096  # pulse periods synthesized at a time (0.8 MB at 25 samples)
 
 DEFAULT_SNR_DB = 14.5
 
@@ -214,32 +219,53 @@ def _seeded_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
+def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
+    """Yield the trace of the per-pulse ``areas`` as row blocks, in stream order.
+
+    Each block is a ``(<= BLOCK_PULSES, samples_per_period)`` array whose row
+    k is the period of one pulse: white electronic noise from stream 2 of
+    ``seed``, scaled in place, plus the pulse added in place.  The normals
+    are drawn in stream order, so the rows are the same floats whatever
+    the block size, and they equal ``outer(areas, shape) + normal(0, sigma)``.
+    """
+    shape = _pulse_shape(config)
+    sigma = _noise_sigma(config)
+    rng = _seeded_rng(seed, 2) if config.elec_noise_area_var > 0 else None
+    for start in range(0, areas.size, BLOCK_PULSES):
+        pulses = areas[start : start + BLOCK_PULSES, None] * shape
+        if rng is None:
+            yield pulses
+            continue
+        block = rng.standard_normal(pulses.shape)
+        block *= sigma
+        block += pulses
+        yield block
+
+
 def _assemble_trace(config: DetectorConfig, areas: np.ndarray, seed: int) -> TraceBuffer:
-    n_pulses = areas.size
     spp = config.samples_per_period
     dt = 1.0 / config.sample_rate
-    shape = _pulse_shape(config)
-    samples = (areas[:, None] * shape[None, :]).reshape(n_pulses * spp)
-    if config.elec_noise_area_var > 0:
-        rng = _seeded_rng(seed, 2)
-        samples = samples + rng.normal(0.0, _noise_sigma(config), samples.size)
-    return TraceBuffer(sample_rate=config.sample_rate, t0=-(spp // 2) * dt, samples=samples)
+    samples = np.empty((areas.size, spp))
+    start = 0
+    for block in _trace_blocks(config, areas, seed):
+        samples[start : start + len(block)] = block
+        start += len(block)
+    return TraceBuffer(
+        sample_rate=config.sample_rate, t0=-(spp // 2) * dt, samples=samples.reshape(-1)
+    )
 
 
-def generate_trace(
-    config: DetectorConfig,
-    state: StateModel,
-    phases,
-    n_pulses: int,
-    seed: int,
-    cutoff: int = 10,
-) -> tuple[TraceBuffer, GroundTruth]:
-    """Simulate a balanced-output voltage trace for ``n_pulses`` pulses.
+def _block_areas(config: DetectorConfig, areas: np.ndarray, seed: int) -> np.ndarray:
+    """Trapezoid area of every pulse period of the trace, integrated block
+    by block as it is drawn, so the trace is never held."""
+    blocks = _trace_blocks(config, areas, seed)
+    return np.concatenate([_trapezoid_rows(b, config.sample_rate) for b in blocks])
 
-    Pulse k is centred at ``t_k = k / f_rep``; the trace starts half a
-    period earlier so every pulse window is complete.  Identical arguments
-    produce bit-identical traces.
-    """
+
+def _signal_areas(
+    config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int, cutoff: int
+) -> tuple[np.ndarray, GroundTruth]:
+    """Noise-free pulse areas: sampled quadratures plus drift and leakage."""
     if n_pulses < 1:
         raise ValueError("n_pulses must be at least 1")
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
@@ -262,9 +288,44 @@ def generate_trace(
     scale = area_scale(config)
     leak = leakage_area(config)
     areas = scale * (x + baseline) + leak
-    trace = _assemble_trace(config, areas, seed)
-    truth = GroundTruth(quadratures=x, baseline_areas=scale * baseline + leak)
-    return trace, truth
+    return areas, GroundTruth(quadratures=x, baseline_areas=scale * baseline + leak)
+
+
+def generate_trace(
+    config: DetectorConfig,
+    state: StateModel,
+    phases,
+    n_pulses: int,
+    seed: int,
+    cutoff: int = 10,
+) -> tuple[TraceBuffer, GroundTruth]:
+    """Simulate a balanced-output voltage trace for ``n_pulses`` pulses.
+
+    Pulse k is centred at ``t_k = k / f_rep``; the trace starts half a
+    period earlier so every pulse window is complete.  Identical arguments
+    produce bit-identical traces.
+    """
+    areas, truth = _signal_areas(config, state, phases, n_pulses, seed, cutoff)
+    return _assemble_trace(config, areas, seed), truth
+
+
+def generate_areas(
+    config: DetectorConfig,
+    state: StateModel,
+    phases,
+    n_pulses: int,
+    seed: int,
+    cutoff: int = 10,
+) -> np.ndarray:
+    """Integrated pulse areas of the trace :func:`generate_trace` draws for
+    the same arguments, without holding that trace.
+
+    Equal, bit for bit, to ``pulse_areas(trace, segment_pulses(trace,
+    f_rep, 0.0, 1 / f_rep))`` of that trace; the trace is synthesized and
+    integrated ``BLOCK_PULSES`` periods at a time.
+    """
+    areas, _ = _signal_areas(config, state, phases, n_pulses, seed, cutoff)
+    return _block_areas(config, areas, seed)
 
 
 def single_diode_trace(config: DetectorConfig, n_pulses: int, seed: int) -> TraceBuffer:
@@ -282,35 +343,48 @@ def electronic_only_trace(config: DetectorConfig, n_pulses: int, seed: int) -> T
     return _assemble_trace(config, np.zeros(n_pulses), seed)
 
 
+def electronic_only_areas(config: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
+    """Integrated pulse areas of :func:`electronic_only_trace`, drawn block
+    by block like :func:`generate_areas`."""
+    if n_pulses < 1:
+        raise ValueError("n_pulses must be at least 1")
+    return _block_areas(config, np.zeros(n_pulses), seed)
+
+
 def write_trace_csv(trace: TraceBuffer, path) -> None:
     """Write ``time_s,voltage_v`` rows, one per sample."""
     write_csv(path, "time_s,voltage_v", (trace.times(), trace.samples))
 
 
 def write_trace_binary(trace: TraceBuffer, path) -> None:
-    """Raw little-endian export: 24-byte header then float64 samples.
+    """Raw little-endian export: 32-byte header then float64 samples.
 
-    Header layout: magic ``PQTRACE1``, sample rate as float64, sample count
-    as uint64.
+    Header layout: magic ``PQTRACE2``, sample rate as float64, sample count
+    as uint64, start time ``t0`` as float64.
     """
     samples = np.ascontiguousarray(trace.samples, dtype="<f8")
-    header = TRACE_MAGIC + struct.pack("<d", trace.sample_rate) + struct.pack(
-        "<Q", samples.size
-    )
+    header = TRACE_MAGIC + struct.pack("<dQd", trace.sample_rate, samples.size, trace.t0)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(samples.tobytes())
 
 
 def read_trace_binary(path) -> TraceBuffer:
-    """Read a trace written by :func:`write_trace_binary` (t0 defaults to 0)."""
+    """Read a trace written by :func:`write_trace_binary`.
+
+    Also reads the older 24-byte ``PQTRACE1`` header, which stores no start
+    time; such a trace gets ``t0 = 0``.
+    """
     with open(path, "rb") as fh:
-        header = fh.read(24)
-        if len(header) != 24 or header[:8] != TRACE_MAGIC:
+        magic = fh.read(8)
+        if magic not in (TRACE_MAGIC, TRACE_MAGIC_V1):
             raise ValueError("not a trace binary file")
-        (rate,) = struct.unpack("<d", header[8:16])
-        (count,) = struct.unpack("<Q", header[16:24])
+        fields = "<dQd" if magic == TRACE_MAGIC else "<dQ"
+        header = fh.read(struct.calcsize(fields))
+        if len(header) != struct.calcsize(fields):
+            raise ValueError("not a trace binary file")
+        rate, count, *t0 = struct.unpack(fields, header)
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
         if data.size != count:
             raise ValueError("trace binary file is truncated")
-    return TraceBuffer(sample_rate=rate, t0=0.0, samples=data)
+    return TraceBuffer(sample_rate=rate, t0=t0[0] if t0 else 0.0, samples=data)

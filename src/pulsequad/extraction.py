@@ -113,14 +113,31 @@ def integrate_pulse(window, sample_rate: float) -> float:
     return float(np.trapezoid(w, dx=1.0 / sample_rate))
 
 
+def _trapezoid_rows(rows: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Trapezoidal integral of every row of a 2-D array, in V*s.
+
+    The one area kernel of the package.  ``einsum`` reduces each row on its
+    own, in the same order whatever the number of rows, their strides or
+    their alignment, so a trace integrated in blocks gives the same floats
+    as one integrated whole.  A BLAS product does not: it sends a lone row
+    through ``ddot`` and splits rows among its threads, each of which moves
+    the last bits of an area.
+    """
+    n_w = rows.shape[1]
+    dt = 1.0 / sample_rate
+    weights = np.full(n_w, dt)
+    weights[0] = weights[-1] = 0.5 * dt
+    return np.einsum("ij,j->i", rows, weights)
+
+
 def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
     """Trapezoidal areas of every window of a trace (equal window lengths).
 
     Each window is a half-open ``[start, stop)`` sample range of at least
-    two samples inside the trace.  Windows whose starts are evenly spaced
-    by at least their length, as :func:`segment_pulses` gives at an
-    integer number of samples per period, are integrated through a strided
-    view of the trace; any other layout is gathered into a copy first.
+    two samples inside the trace.  Windows whose starts rise in even steps,
+    as :func:`segment_pulses` gives at an integer number of samples per
+    period, are integrated through a strided view of the trace; any other
+    layout is gathered into a copy first.  Both give the same areas.
     """
     samples = np.asarray(trace.samples)
     windows = np.asarray(windows, dtype=np.int64)
@@ -134,18 +151,13 @@ def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
         raise ValueError("window must contain at least two samples")
     if starts.min() < 0 or starts.max() + n_w > samples.size:
         raise ValueError("windows must lie inside the trace")
-    dt = 1.0 / trace.sample_rate
-    weights = np.full(n_w, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    # a row stride below the row length is no BLAS layout, and matmul would
-    # then sum in its own order; the gather keeps those layouts on BLAS
-    step = int(starts[1] - starts[0]) if starts.size > 1 else n_w
-    if step >= n_w and np.all(np.diff(starts) == step):
-        view = np.lib.stride_tricks.sliding_window_view(samples, n_w)
+    view = np.lib.stride_tricks.sliding_window_view(samples, n_w)
+    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
+    if step > 0 and np.all(np.diff(starts) == step):
         rows = view[starts[0] : starts[-1] + 1 : step]
     else:
-        rows = samples[starts[:, None] + np.arange(n_w)]
-    return rows @ weights
+        rows = view[starts]
+    return _trapezoid_rows(rows, trace.sample_rate)
 
 
 def calibrate_vacuum(areas, created_at: float = 0.0) -> CalibrationScale:

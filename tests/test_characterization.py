@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsequad.characterization import (
+    SPECTRUM_BLOCK_SAMPLES,
     AllanCurve,
     DetectorReport,
     SpectrumEstimate,
@@ -52,6 +53,23 @@ class TestVarianceVsPower:
     def test_too_few_powers(self):
         with pytest.raises(ValueError):
             variance_vs_power([(1e-3, 1e-20), (2e-3, 2e-20)])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(2e-3, 2e-20), (1e-3, 1e-20), (2e-3, 3e-20), (1e-3, 2e-20)],  # two distinct
+            np.zeros((0, 2)),
+            [1e-3, 2e-3, 3e-3],  # not (power, variance) rows
+        ],
+    )
+    def test_too_few_distinct_powers(self, points):
+        with pytest.raises(ValueError):
+            variance_vs_power(points)
+
+    def test_repeated_powers_count_once(self):
+        p = np.array([3e-3, 1e-3, 3e-3, 2e-3])
+        curve = variance_vs_power(np.column_stack([p, 2e-18 * p]))
+        assert curve.fit_slope == pytest.approx(2e-18, rel=1e-9)
 
     def test_simulated_sweep_is_linear(self):
         det = DetectorConfig()
@@ -314,6 +332,20 @@ class TestNoiseSpectrum:
         assert np.mean(inner) == pytest.approx(2 * sigma**2 / fs, rel=0.05)
         scatter = np.std(inner) / np.mean(inner)
         assert 0.7 / math.sqrt(n_seg) < scatter < 1.5 / math.sqrt(n_seg)
+
+    @pytest.mark.parametrize("segment_len", [128, 1024, 2**15])
+    def test_equals_whole_array_periodogram(self, segment_len):
+        # more than one transform block, and samples left over past the
+        # last whole segment
+        n_seg = 2 * SPECTRUM_BLOCK_SAMPLES // segment_len + 3
+        rng = np.random.default_rng(segment_len)
+        samples = 0.2 + rng.normal(size=n_seg * segment_len + segment_len // 2 + 1)
+        trace = TraceBuffer(sample_rate=2e9, t0=0.0, samples=samples)
+        x = samples[: n_seg * segment_len] - samples.mean()
+        spec = np.fft.rfft(x.reshape(n_seg, segment_len), axis=1)
+        psd = np.mean(np.abs(spec) ** 2, axis=0) / (2e9 * segment_len)
+        psd[1:-1] *= 2.0
+        assert np.array_equal(noise_spectrum(trace, segment_len).psd, psd)
 
     def test_parseval(self):
         rng = np.random.default_rng(6)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import pytest
@@ -20,6 +21,7 @@ from pulsequad.cli import (
     TomographyOptions,
     load_config,
     main,
+    run_characterize,
 )
 from pulsequad.detector import DetectorConfig, DriftModel
 from pulsequad.states import StateModel
@@ -276,8 +278,8 @@ class TestTraceExport:
         assert csv_lines[0] == "time_s,voltage_v"
         assert len(csv_lines) == 2502  # header + 2500 samples + trailing newline
         raw = (out / "trace.bin").read_bytes()
-        assert raw[:8] == b"PQTRACE1"
-        assert len(raw) == 24 + 8 * 2500
+        assert raw[:8] == b"PQTRACE2"
+        assert len(raw) == 32 + 8 * 2500
 
     def test_byte_reproducibility(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -459,15 +461,33 @@ class TestMainEntry:
 
 # Runs in a fresh interpreter, so that nothing imported by the test session
 # counts; a module imported lazily inside a run shows up as well.
-NO_SCIPY_SCRIPT = """
+FRESH_RUN_SCRIPT = """
 import json, sys
 import pulsequad
 import pulsequad.cli as cli
 for run, path in json.loads(sys.argv[1]):
     if cli.main([run, "--config", path]) != 0:
         sys.exit(f"{run} run failed")
-print(json.dumps(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+print(json.dumps(sorted(sys.modules)))
 """
+
+
+def modules_after_fresh_runs(tmp_path, docs):
+    """Run each ``{run: config}`` in one new interpreter; return the names of
+    the modules it has imported at the end."""
+    runs = []
+    for run, doc in docs.items():
+        doc = {**doc, "run": run, "out_dir": str(tmp_path / run)}
+        runs.append((run, write_config(tmp_path, doc, f"{run}.json")))
+    src = os.path.dirname(os.path.dirname(pulsequad.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", FRESH_RUN_SCRIPT, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_cli_runs_without_scipy(tmp_path):
@@ -480,18 +500,32 @@ def test_cli_runs_without_scipy(tmp_path):
         },
         "characterize": {"n_pulses": 50},
     }
-    runs = []
-    for run, doc in docs.items():
-        doc = {**doc, "run": run, "out_dir": str(tmp_path / run)}
-        runs.append((run, write_config(tmp_path, doc, f"{run}.json")))
-    src = os.path.dirname(os.path.dirname(pulsequad.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_SCRIPT, json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    modules = modules_after_fresh_runs(tmp_path, docs)
+    assert sorted(m for m in modules if m.partition(".")[0] == "scipy") == []
     assert (tmp_path / "tomography" / "wigner.csv").exists()
     assert (tmp_path / "characterize" / "report.json").exists()
+
+
+def test_characterize_leaves_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma lazily, on first use (np.unique reaches it),
+    # and that import costs about 15 ms and 1.5 MB on every run
+    modules = modules_after_fresh_runs(tmp_path, {"characterize": {"n_pulses": 50}})
+    assert "numpy" in modules
+    assert "numpy.ma" not in modules
+    assert (tmp_path / "characterize" / "report.json").exists()
+
+
+def test_characterize_peak_memory(tmp_path):
+    # at the default 40,000 pulses an area record streams through pulse
+    # blocks; holding one whole trace (1M samples) and its two same-size
+    # temporaries, as the record once did, peaks at about 18 MiB
+    path = write_config(tmp_path, {"run": "characterize", "out_dir": str(tmp_path / "out")})
+    config = load_config(path)
+    assert config.n_pulses == 40_000
+    tracemalloc.start()
+    try:
+        run_characterize(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20

@@ -2,14 +2,22 @@
 
 import math
 
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pulsequad.detector import (
+    BLOCK_PULSES,
+    PULSE_SHAPES,
     DetectorConfig,
     DriftModel,
     area_scale,
+    electronic_only_areas,
     electronic_only_trace,
+    generate_areas,
     generate_trace,
     leakage_area,
     photons_per_pulse,
@@ -221,6 +229,49 @@ class TestGenerateTrace:
         assert truth.baseline_areas[0] == pytest.approx(leakage_area(cfg), rel=1e-12)
 
 
+class TestBlockAreas:
+    """The area path integrates the trace that generate_trace would return,
+    block by block, and must give its segmented areas bit for bit."""
+
+    @pytest.mark.parametrize("n_pulses", [1, 2, 3, 4095, 4096, 4097, 8193, 40001])
+    @given(
+        record=st.sampled_from(["vacuum", "electronic", "coherent-drift"]),
+        shape=st.sampled_from(PULSE_SHAPES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_equal_segmented_trace_areas(self, n_pulses, record, shape, seed):
+        assert BLOCK_PULSES == 4096  # the n_pulses cases straddle block edges
+        if record == "electronic":
+            cfg = DetectorConfig(pulse_shape=shape)
+            trace = electronic_only_trace(cfg, n_pulses, seed)
+            areas = electronic_only_areas(cfg, n_pulses, seed)
+        else:
+            state, phases, drift = StateModel.vacuum(), [0.0], DriftModel()
+            if record == "coherent-drift":
+                state = StateModel.coherent(1.5 - 0.5j)
+                phases = np.linspace(0.0, np.pi, n_pulses)
+                drift = DriftModel(linear_rate=1e3, random_walk_sigma=0.01)
+            cfg = DetectorConfig(pulse_shape=shape, drift=drift)
+            trace, _ = generate_trace(cfg, state, phases, n_pulses, seed)
+            areas = generate_areas(cfg, state, phases, n_pulses, seed)
+        assert np.array_equal(areas, record_areas(trace, cfg.f_rep))
+
+    def test_noiseless_detector(self):
+        cfg = DetectorConfig(elec_noise_area_var=0.0, pulse_shape="gaussian")
+        trace, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], 5000, seed=2)
+        areas = generate_areas(cfg, StateModel.vacuum(), [0.0], 5000, seed=2)
+        assert np.array_equal(areas, record_areas(trace, cfg.f_rep))
+        assert not np.any(electronic_only_areas(cfg, 5000, seed=2))
+
+    def test_rejects_empty_records(self):
+        cfg = DetectorConfig()
+        with pytest.raises(ValueError):
+            generate_areas(cfg, StateModel.vacuum(), [0.0], 0, seed=1)
+        with pytest.raises(ValueError):
+            electronic_only_areas(cfg, 0, seed=1)
+
+
 class TestSingleDiode:
     def test_pulse_area(self):
         cfg = DetectorConfig(elec_noise_area_var=0.0)
@@ -258,11 +309,45 @@ class TestTraceExport:
         path = tmp_path / "trace.bin"
         write_trace_binary(trace, path)
         raw = path.read_bytes()
-        assert raw[:8] == b"PQTRACE1"
-        assert len(raw) == 24 + 8 * len(trace.samples)
+        assert raw[:8] == b"PQTRACE2"
+        assert len(raw) == 32 + 8 * len(trace.samples)
         loaded = read_trace_binary(path)
         assert loaded.sample_rate == trace.sample_rate
         assert np.array_equal(loaded.samples, trace.samples)
+
+    def test_binary_export_keeps_pulse_windows(self, tmp_path):
+        # a trace read back from file segments and integrates exactly as the
+        # trace in memory: its t0 puts every window on the same samples
+        cfg = DetectorConfig()
+        trace, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], 40_000, seed=4)
+        path = tmp_path / "trace.bin"
+        write_trace_binary(trace, path)
+        loaded = read_trace_binary(path)
+        assert loaded.t0 == trace.t0 != 0.0
+        areas = record_areas(loaded, cfg.f_rep)
+        assert areas.size == 40_000
+        assert np.array_equal(areas, record_areas(trace, cfg.f_rep))
+
+    def test_binary_reads_version_one(self, tmp_path):
+        samples = np.arange(6.0)
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"PQTRACE1" + struct.pack("<dQ", 4e9, 6) + samples.tobytes())
+        loaded = read_trace_binary(path)
+        assert (loaded.sample_rate, loaded.t0) == (4e9, 0.0)
+        assert np.array_equal(loaded.samples, samples)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            b"PQTRACE2" + struct.pack("<dQ", 4e9, 1),  # v2 header cut before t0
+            b"PQTRACE2" + struct.pack("<dQd", 4e9, 3, 0.0) + b"\x00" * 16,  # truncated data
+        ],
+    )
+    def test_binary_rejects_short_files(self, tmp_path, raw):
+        path = tmp_path / "short.bin"
+        path.write_bytes(raw)
+        with pytest.raises(ValueError):
+            read_trace_binary(path)
 
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"

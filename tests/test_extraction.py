@@ -16,6 +16,7 @@ from pulsequad.detector import (
 )
 from pulsequad.extraction import (
     CalibrationScale,
+    _trapezoid_rows,
     QuadratureBatch,
     apply_calibration,
     calibrate_vacuum,
@@ -95,14 +96,13 @@ class TestIntegratePulse:
 
 
 def gathered_areas(trace, windows):
-    """Trapezoid areas through an index gather of every window: the layout
-    ``pulse_areas`` used for all windows before the strided view."""
+    """Areas of an index gather of every window, through the shared area
+    kernel: the layout ``pulse_areas`` used for all windows before the
+    strided view."""
     windows = np.asarray(windows)
     n_w = int(windows[0, 1] - windows[0, 0])
-    dt = 1.0 / trace.sample_rate
-    weights = np.full(n_w, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    return trace.samples[windows[:, 0][:, None] + np.arange(n_w)] @ weights
+    rows = trace.samples[windows[:, 0][:, None] + np.arange(n_w)]
+    return _trapezoid_rows(rows, trace.sample_rate)
 
 
 class TestPulseAreasLayouts:
@@ -136,6 +136,19 @@ class TestPulseAreasLayouts:
     )
     def test_explicit_layouts_match_gather(self, trace, windows):
         assert np.array_equal(pulse_areas(trace, windows), gathered_areas(trace, windows))
+
+    @pytest.mark.parametrize("n_w", [2, 3, 25, 26, 101])
+    def test_kernel_rows_independent_of_block_size(self, n_w):
+        rows = np.random.default_rng(n_w).normal(size=(1001, n_w))
+        whole = _trapezoid_rows(rows, 2e9)
+        lone = [_trapezoid_rows(rows[i : i + 1], 2e9)[0] for i in range(len(rows))]
+        assert np.array_equal(whole, lone)
+        odd = [_trapezoid_rows(rows[a : a + 7], 2e9) for a in range(0, len(rows), 7)]
+        assert np.array_equal(whole, np.concatenate(odd))
+        # a strided, unaligned view of the same rows
+        padded = np.empty((len(rows), n_w + 3))
+        padded[:, 1 : n_w + 1] = rows
+        assert np.array_equal(whole, _trapezoid_rows(padded[:, 1 : n_w + 1], 2e9))
 
     @pytest.mark.parametrize(
         "windows",
