@@ -82,16 +82,16 @@ CONFIGS = {
 DIGESTS = {
     "characterize": {
         "allan.csv": "e561ae2b8b66c1f282a4c0392fb0eef797f04a358c0ea05ce12339d62c2fdfb8",
-        "cc.csv": "1588ada2e23e56229c6efac1bae6d2faed79751e89503fcf66e76535fc3da763",
-        "noise_curve.csv": "d14e89c6bc7782fbc3602f97c2076d0edba075b804ede6e43ff615326373e69b",
-        "report.json": "7193c775e13c042ded4b829fc8565808e6a80dc1c66831d0f402be72d0828a40",
+        "cc.csv": "d3c36bb3e34d9c90f969a44effc1a93e7f3f2f3d036b99a4ae7d02e64064dfd2",
+        "noise_curve.csv": "6407d9a5b51b93313b4c7c683aa191d0b6de170eda28321c0e412fd943147ebd",
+        "report.json": "afbf0bb20d362d392d3e407e05cef9262f815ada99fcee8ba7f980b8c2c1781c",
         "spectrum.csv": "9584562fbfd527f9a0703d3e207bcacd8e22410992bdf675f86ea1e0c76ba00b",
     },
     "characterize-noiseless": {
         "allan.csv": "40843c9b88a24475c97e9b7cd12838aa42a10b974ec64e78e89f4e94475b093d",
-        "cc.csv": "4a378f4eecdbcd70eb0c75c5501b564f966cf1bcaed024d57e2e5c29ae8e938d",
-        "noise_curve.csv": "2afdeb3f8ae228bfeac592341d5661b14d142588975ac0c6e36afd38af4013bf",
-        "report.json": "04e888d7ea50ff5631630951a65eef80224803c238c3196c7231031df5dd64bb",
+        "cc.csv": "a3c7419bc29ab8293d093e4a22adbde3c83d4ee094c3b13c6e04de47e9b3e1c9",
+        "noise_curve.csv": "9a6115fe5659e8dfdd957baf88536aeccec775f20a4d0aa046ef551b88e2a713",
+        "report.json": "58cdd4340d5fad48fbf2ad14e7ef5cd79d67b116d88e9fdcd225b11b8a4bc1c5",
         "spectrum.csv": "e7b134e7aba210c0cc9ad1f223f269b3d9520784409f6d3a8d221324a15d3b5c",
     },
     "tomo-mixture-random": {
@@ -130,7 +130,7 @@ DIGESTS = {
         "wigner.csv": "98c31f6301fb7fa7eb8ec21c5ed07d5c0d9e9177b916a052c86ba6fb78052f14",
     },
     "trace-gaussian": {
-        "trace.bin": "06ed3c7cf5abf260377ec20cd84951273cae704327e1af76e62822aec8910b8c",
+        "trace.bin": "d32b2949b35eaa28d2dad8d1dfbd28f25b0e4afa1b8a005a3338916daa20df42",
         "trace.csv": "d48df51c739db6f5ca4d7d8370a620bfca7c6889b0a79f5fb59d3b61c5c8f544",
     },
 }
