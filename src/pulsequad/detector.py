@@ -232,13 +232,12 @@ def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
     sigma = _noise_sigma(config)
     rng = _seeded_rng(seed, 2) if config.elec_noise_area_var > 0 else None
     for start in range(0, areas.size, BLOCK_PULSES):
-        pulses = areas[start : start + BLOCK_PULSES, None] * shape
-        if rng is None:
-            yield pulses
-            continue
-        block = rng.standard_normal(pulses.shape)
-        block *= sigma
-        block += pulses
+        block = areas[start : start + BLOCK_PULSES, None] * shape
+        if rng is not None:
+            noise = rng.standard_normal(block.shape)
+            noise *= sigma
+            noise += block
+            block = noise
         yield block
 
 

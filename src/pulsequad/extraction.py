@@ -105,29 +105,29 @@ def segment_pulses(trace, f_rep: float, t_first: float, tau_p: float) -> np.ndar
     return np.stack([starts, starts + n_w], axis=1)
 
 
-def integrate_pulse(window, sample_rate: float) -> float:
-    """Trapezoidal integral of one voltage window, in V*s."""
-    w = np.asarray(window, dtype=float)
-    if w.size < 2:
-        raise ValueError("window must contain at least two samples")
-    return float(np.trapezoid(w, dx=1.0 / sample_rate))
-
-
 def _trapezoid_rows(rows: np.ndarray, sample_rate: float) -> np.ndarray:
     """Trapezoidal integral of every row of a 2-D array, in V*s.
 
     The one area kernel of the package.  ``einsum`` reduces each row on its
     own, in the same order whatever the number of rows, their strides or
     their alignment, so a trace integrated in blocks gives the same floats
-    as one integrated whole.  A BLAS product does not: it sends a lone row
-    through ``ddot`` and splits rows among its threads, each of which moves
-    the last bits of an area.
+    as one integrated whole.  A BLAS product does not: a lone row goes
+    through ``ddot`` and rows are split among threads by count, so the last
+    bits of an area would depend on the block it came in.
     """
     n_w = rows.shape[1]
     dt = 1.0 / sample_rate
     weights = np.full(n_w, dt)
     weights[0] = weights[-1] = 0.5 * dt
     return np.einsum("ij,j->i", rows, weights)
+
+
+def integrate_pulse(window, sample_rate: float) -> float:
+    """Trapezoidal integral of one voltage window, in V*s."""
+    w = np.asarray(window, dtype=float)
+    if w.size < 2:
+        raise ValueError("window must contain at least two samples")
+    return float(_trapezoid_rows(w[None, :], sample_rate)[0])
 
 
 def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
