@@ -59,6 +59,7 @@ from .extraction import (
     write_batch_csv,
 )
 from .states import (
+    DEFAULT_CUTOFF,
     SAMPLE_GRID_HALFSPAN,
     StateModel,
     fidelity_pure,
@@ -112,7 +113,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TomographyOptions:
-    cutoff: int = 10
+    cutoff: int = DEFAULT_CUTOFF
     bin_width: float = 0.1
     tol: float = 1e-9
     max_iter: int = 2000
@@ -194,6 +195,22 @@ class ExperimentConfig:
             raise ConfigError(f"n_pulses must be at least {min_pulses} for run {self.run!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        # characterize samples no configured state; trace-export samples at
+        # generate_trace's default cutoff
+        cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
+        cutoff = cutoffs.get(self.run, math.inf)
+        n_max = max(_fock_numbers(self.state), default=-1)
+        if n_max >= cutoff:
+            raise ConfigError(
+                f"fock({n_max}) state does not fit below the {self.run} cutoff {cutoff}"
+            )
+
+
+def _fock_numbers(state: StateModel) -> list[int]:
+    """Photon numbers of the Fock states in ``state``, mixture components included."""
+    if state.kind == "mixture":
+        return [n for c in state.components for n in _fock_numbers(c)]
+    return [state.n] if state.kind == "fock" else []
 
 
 def _coerce(hint, value, where: str):

@@ -11,13 +11,14 @@ set by the configured common-mode rejection ratio.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .extraction import _trapezoid_rows, write_csv
-from .states import StateModel, sample_quadratures
+from .states import DEFAULT_CUTOFF, StateModel, sample_quadratures
 
 __all__ = [
     "DriftModel",
@@ -126,6 +127,10 @@ class TraceBuffer:
     samples: np.ndarray
 
     def __post_init__(self):
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise ValueError("trace sample rate must be finite and positive")
+        if not math.isfinite(self.t0):
+            raise ValueError("trace start time must be finite")
         arr = np.asarray(self.samples, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise ValueError("trace contains non-finite samples")
@@ -299,7 +304,7 @@ def generate_trace(
     phases,
     n_pulses: int,
     seed: int,
-    cutoff: int = 10,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> tuple[TraceBuffer, GroundTruth]:
     """Simulate a balanced-output voltage trace for ``n_pulses`` pulses.
 
@@ -317,7 +322,7 @@ def generate_areas(
     phases,
     n_pulses: int,
     seed: int,
-    cutoff: int = 10,
+    cutoff: int = DEFAULT_CUTOFF,
 ) -> np.ndarray:
     """Integrated pulse areas of the trace :func:`generate_trace` draws for
     the same arguments, without holding that trace.
@@ -375,7 +380,9 @@ def read_trace_binary(path) -> TraceBuffer:
     """Read a trace written by :func:`write_trace_binary`.
 
     Also reads the older 24-byte ``PQTRACE1`` header, which stores no start
-    time; such a trace gets ``t0 = 0``.
+    time; such a trace gets ``t0 = 0``.  Every malformed header raises
+    ``ValueError``: a sample count beyond the bytes left in the file, or a
+    rate or ``t0`` that :class:`TraceBuffer` rejects.
     """
     with open(path, "rb") as fh:
         magic = fh.read(8)
@@ -386,7 +393,9 @@ def read_trace_binary(path) -> TraceBuffer:
         if len(header) != struct.calcsize(fields):
             raise ValueError("not a trace binary file")
         rate, count, *t0 = struct.unpack(fields, header)
-        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-        if data.size != count:
+        # checked before the read: count * 8 of a corrupt count may not even
+        # fit an index-sized integer
+        if count > (os.fstat(fh.fileno()).st_size - fh.tell()) // 8:
             raise ValueError("trace binary file is truncated")
+        data = np.frombuffer(fh.read(count * 8), dtype="<f8")
     return TraceBuffer(sample_rate=rate, t0=t0[0] if t0 else 0.0, samples=data)

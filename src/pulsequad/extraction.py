@@ -195,7 +195,8 @@ def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and then one comma-separated line per row of ``zip(*columns)``.
 
     Columns go through ``ndarray.tolist()`` and ``%s``, so floats are written
-    as their shortest round-trip ``repr`` and integers as integers.
+    as their shortest round-trip ``repr``, integers as integers, and ``str``
+    cells (an object or unicode column) pass through unchanged.
     """
     cols = [np.asarray(c) for c in columns]
     line = ",".join(["%s"] * len(cols)) + "\n"

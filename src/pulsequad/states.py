@@ -49,6 +49,8 @@ HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 EIGENVALUE_TOL = -1e-8
 
+DEFAULT_CUTOFF = 10  # Fock cutoff a state is sampled at unless one is given
+
 SAMPLE_GRID_HALFSPAN = 8.0
 SAMPLE_GRID_POINTS = 2**14  # a power of two: bisection steps 2**13 .. 1 reach every index
 SAMPLE_BLOCK_ENTRIES = 2**16  # samples x table columns inverted at a time: bounds temporaries
@@ -357,7 +359,7 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
 
 
 def sample_quadratures(
-    state: StateModel, phases, n: int, seed: int, cutoff: int = 10
+    state: StateModel, phases, n: int, seed: int, cutoff: int = DEFAULT_CUTOFF
 ) -> QuadratureBatch:
     """Draw ``n`` quadrature samples of ``state`` at the scheduled phases.
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsequad
+from pulsequad import cli
 from pulsequad.cli import (
     RUN_KINDS,
     ConfigError,
@@ -190,6 +191,20 @@ CONFIG_FAULTS = {
     "infinite bin_width": {"tomography": {"bin_width": math.inf}},
     "vanishing bin_width": {"tomography": {"bin_width": 1e-300}},
     "characterize single pulse": {"run": "characterize", "n_pulses": 1},
+    "fock above cutoff": {"state": {"kind": "fock", "n": 7}, "tomography": {"cutoff": 4}},
+    "fock at cutoff": {"state": {"kind": "fock", "n": 4}, "tomography": {"cutoff": 4}},
+    "mixture fock above cutoff": {
+        "state": {
+            "kind": "mixture",
+            "weights": [0.5, 0.5],
+            "components": [
+                {"kind": "vacuum"},
+                {"kind": "mixture", "weights": [1.0], "components": [{"kind": "fock", "n": 5}]},
+            ],
+        },
+        "tomography": {"cutoff": 5},
+    },
+    "trace-export fock above cutoff": {"run": "trace-export", "state": {"kind": "fock", "n": 10}},
 }
 
 
@@ -352,20 +367,24 @@ class TestTomographyRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fidelity"] is None
 
-    def test_runtime_failure_exit_code(self, tmp_path):
-        # fock state above the reconstruction cutoff fails at realization
-        out = tmp_path / "out"
-        path = write_config(
-            tmp_path,
-            {
-                "run": "tomography",
-                "out_dir": str(out),
-                "n_pulses": 100,
-                "state": {"kind": "fock", "n": 7},
-                "tomography": {"cutoff": 4},
-            },
-        )
+    def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
+        # a valid config whose run fails: one stderr line, no traceback
+        def failing_run(config):
+            raise FloatingPointError("likelihood became NaN")
+
+        monkeypatch.setitem(cli._RUNNERS, "tomography", failing_run)
+        path = write_config(tmp_path, {"run": "tomography", "out_dir": str(tmp_path / "out")})
         assert main(["tomography", "--config", path]) == 3
+        assert capsys.readouterr().err == "pulsequad: error: likelihood became NaN\n"
+
+    def test_fock_cutoff_checked_only_where_a_state_is_sampled(self, tmp_path):
+        state = {"kind": "fock", "n": 12}
+        path = write_config(tmp_path, {"run": "characterize", "state": state})
+        assert load_config(path).state == StateModel.fock(12)
+        path = write_config(
+            tmp_path, {"run": "tomography", "state": state, "tomography": {"cutoff": 13}}
+        )
+        assert load_config(path).tomography.cutoff == 13
 
     def test_huge_coherent_alpha_runs_cleanly(self, tmp_path, capsys, recwarn):
         path = write_config(
@@ -513,6 +532,21 @@ def test_characterize_leaves_numpy_ma_unimported(tmp_path):
     assert "numpy" in modules
     assert "numpy.ma" not in modules
     assert (tmp_path / "characterize" / "report.json").exists()
+
+
+def test_runs_leave_numpy_polynomial_unimported(tmp_path):
+    # the POVM quadrature rule is written out, not taken from leggauss: the
+    # numpy.polynomial import costs about 4.5 ms and 1 MB on every run
+    docs = {
+        "characterize": {"n_pulses": 50},
+        "tomography": {"n_pulses": 50, "tomography": {"cutoff": 4}},
+        "trace-export": {"n_pulses": 10},
+    }
+    modules = modules_after_fresh_runs(tmp_path, docs)
+    assert "numpy" in modules
+    assert sorted(m for m in modules if m.startswith("numpy.polynomial")) == []
+    assert (tmp_path / "tomography" / "wigner.csv").exists()
+    assert (tmp_path / "trace-export" / "trace.bin").exists()
 
 
 def test_characterize_peak_memory(tmp_path):

@@ -349,6 +349,28 @@ class TestTraceExport:
         with pytest.raises(ValueError):
             read_trace_binary(path)
 
+    @pytest.mark.parametrize("count", [2**61, 2**64 - 1])
+    def test_binary_rejects_huge_count(self, tmp_path, count):
+        # count * 8 would not fit an index-sized integer
+        path = tmp_path / "huge.bin"
+        path.write_bytes(b"PQTRACE2" + struct.pack("<dQd", 4e9, count, 0.0) + b"\x00" * 8)
+        with pytest.raises(ValueError, match="truncated"):
+            read_trace_binary(path)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, -4e9, 0.0])
+    def test_binary_rejects_bad_sample_rate(self, tmp_path, rate):
+        path = tmp_path / "rate.bin"
+        path.write_bytes(b"PQTRACE2" + struct.pack("<dQd", rate, 1, 0.0) + b"\x00" * 8)
+        with pytest.raises(ValueError, match="sample rate"):
+            read_trace_binary(path)
+
+    @pytest.mark.parametrize("t0", [math.inf, -math.inf, math.nan])
+    def test_binary_rejects_non_finite_t0(self, tmp_path, t0):
+        path = tmp_path / "t0.bin"
+        path.write_bytes(b"PQTRACE2" + struct.pack("<dQd", 4e9, 1, t0) + b"\x00" * 8)
+        with pytest.raises(ValueError, match="start time"):
+            read_trace_binary(path)
+
     def test_binary_rejects_garbage(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTMAGIC" + b"\x00" * 16)

@@ -8,12 +8,15 @@ from scipy.special import erf
 from scipy.stats import ks_2samp
 
 from pulsequad.extraction import QuadratureBatch
-from pulsequad.states import StateModel, coherent_amplitudes, fidelity_pure
+from pulsequad.states import StateModel, WignerGrid, coherent_amplitudes, fidelity_pure
 from pulsequad.tomography import (
+    _QUAD_NODES,
+    _QUAD_WEIGHTS,
     _bin_operators,
     _binned_cells,
     mle_reconstruct,
     sample_quadratures,
+    write_wigner_csv,
 )
 
 from test_states import random_density_matrix
@@ -214,3 +217,34 @@ class TestRealHarmonicLayout:
         assert result.iterations == steps
         assert np.allclose(result.history, history, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(result.rho.elements - rho)) <= 1e-12
+
+
+def test_quadrature_rule_is_leggauss_5():
+    nodes, weights = np.polynomial.legendre.leggauss(5)
+    assert np.array_equal(_QUAD_NODES, nodes)
+    assert np.array_equal(_QUAD_WEIGHTS, weights)
+
+
+AXIS_VALUES = [-0.0, 1e-300, 1 / 3, 2.0**60, -5.0, 0.1 + 0.2]
+
+
+@pytest.mark.parametrize(
+    "x_axis, p_axis",
+    [
+        (AXIS_VALUES, AXIS_VALUES[:4]),
+        (AXIS_VALUES[2:], AXIS_VALUES),
+        ([], AXIS_VALUES),
+        (AXIS_VALUES, []),
+    ],
+)
+def test_wigner_csv_matches_float_meshgrid_rows(tmp_path, x_axis, p_axis):
+    # the writer formats each axis value once; its bytes must equal those of
+    # formatting every cell of the float meshgrid
+    x_axis, p_axis = np.array(x_axis, dtype=float), np.array(p_axis, dtype=float)
+    values = np.random.default_rng(3).normal(size=(x_axis.size, p_axis.size)) / 7.0
+    path = tmp_path / "wigner.csv"
+    write_wigner_csv(WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values), path)
+    x, p = np.meshgrid(x_axis, p_axis, indexing="ij")
+    rows = zip(x.ravel().tolist(), p.ravel().tolist(), values.ravel().tolist())
+    expected = "x,p,w\n" + "".join("%s,%s,%s\n" % row for row in rows)
+    assert path.read_bytes() == expected.encode()
