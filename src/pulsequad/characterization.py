@@ -4,7 +4,6 @@ common-mode rejection, Allan stability and the time-bandwidth product.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -341,7 +340,3 @@ def write_spectrum_csv(spectrum: SpectrumEstimate, path) -> None:
 
 def write_cc_csv(cc_rows, path) -> None:
     write_csv(path, "m,cc,std", zip(*cc_rows))
-
-
-def report_to_json(report: DetectorReport) -> str:
-    return json.dumps(report.to_json_dict(), indent=2) + "\n"

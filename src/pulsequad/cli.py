@@ -31,7 +31,6 @@ from .characterization import (
     find_stability_interval,
     noise_spectrum,
     overall_efficiency,
-    report_to_json,
     snr_and_efficiency,
     time_bandwidth_product,
     variance_vs_power,
@@ -165,8 +164,6 @@ class PhaseSchedule:
             vals = self.start + self.span * np.arange(self.count) / self.count
         else:
             vals = np.asarray(self.values, dtype=float)
-        if vals.size == n:
-            return vals.copy()
         # contiguous blocks per phase setting, remainder spread over the first ones
         counts = np.full(vals.size, n // vals.size)
         counts[: n % vals.size] += 1
@@ -195,8 +192,12 @@ class ExperimentConfig:
             raise ConfigError(f"n_pulses must be at least {min_pulses} for run {self.run!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        # characterize samples no configured state; trace-export samples at
-        # generate_trace's default cutoff
+        if self.run == "characterize" and _allan_block_pulses(self.detector) < 1:
+            raise ConfigError(
+                f"characterize needs at least one pulse per {ALLAN_BLOCK_S:g} s Allan block;"
+                f" f_rep {self.detector.f_rep:g} Hz gives none"
+            )
+        # characterize samples no configured state; trace-export samples at DEFAULT_CUTOFF
         cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
         cutoff = cutoffs.get(self.run, math.inf)
         n_max = max(_fock_numbers(self.state), default=-1)
@@ -296,9 +297,9 @@ def _atomic(out: str, name: str, write_fn, *args) -> None:
     os.replace(f"{path}.tmp", path)
 
 
-def _write_text(text: str, path) -> None:
+def _write_json(doc: dict, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _prepare_out_dir(config: ExperimentConfig) -> str:
@@ -322,6 +323,10 @@ def _vacuum_areas(det: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
     return generate_areas(det, StateModel.vacuum(), [0.0], n_pulses, seed)
 
 
+def _allan_block_pulses(det: DetectorConfig) -> int:
+    return int(round(det.f_rep * ALLAN_BLOCK_S))
+
+
 def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
     """Block means of a long vacuum record, drawn from the exact Gaussian
     law of block averages instead of synthesizing every pulse.
@@ -329,7 +334,7 @@ def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
     A random-walk drift component is approximated by its value at block
     centres; the linear ramp and shot-noise statistics are exact.
     """
-    n_per_block = int(round(det.f_rep * ALLAN_BLOCK_S))
+    n_per_block = _allan_block_pulses(det)
     n_blocks = int(round(ALLAN_DURATION_S / ALLAN_BLOCK_S))
     rng = _seeded_rng(seed, 0)
     centers = (np.arange(n_blocks) * n_per_block + (n_per_block - 1) / 2.0) / det.f_rep
@@ -426,7 +431,7 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
         stability_interval_s=stability,
         tbp=tbp,
     )
-    _atomic(out, "report.json", _write_text, report_to_json(report))
+    _atomic(out, "report.json", _write_json, report.to_json_dict())
     _atomic(out, "noise_curve.csv", write_noise_curve_csv, curve)
     _atomic(out, "allan.csv", write_allan_csv, mean_curve)
     _atomic(out, "spectrum.csv", write_spectrum_csv, shot_band)
@@ -452,11 +457,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
     batch = sample_quadratures(
         sampled_state, phases, n, _child_seed(config.seed, 1), cutoff=opts.cutoff
     )
-    batch = QuadratureBatch(
-        values=batch.values,
-        phases=batch.phases,
-        timestamps=np.arange(n) / config.detector.f_rep,
-    )
+    batch = replace(batch, timestamps=np.arange(n) / config.detector.f_rep)
     result = mle_reconstruct(
         batch,
         opts.cutoff,
@@ -484,7 +485,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
     _atomic(out, "wigner.csv", write_wigner_csv, grid)
     _atomic(out, "photon_stats.csv", write_photon_statistics_csv, stats)
     _atomic(out, "samples.csv", write_batch_csv, batch)
-    _atomic(out, "summary.json", _write_text, json.dumps(summary, indent=2) + "\n")
+    _atomic(out, "summary.json", _write_json, summary)
     return summary
 
 

@@ -39,7 +39,6 @@ class CalibrationScale:
     scale: float
     offset: float
     n_cal: int
-    created_at: float = 0.0
 
     def __post_init__(self):
         if not self.scale > 0:
@@ -160,7 +159,7 @@ def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
     return _trapezoid_rows(rows, trace.sample_rate)
 
 
-def calibrate_vacuum(areas, created_at: float = 0.0) -> CalibrationScale:
+def calibrate_vacuum(areas) -> CalibrationScale:
     """Fix scale and offset from vacuum pulse areas via sample moments.
 
     The offset is the sample mean; the scale maps the sample variance to
@@ -177,18 +176,13 @@ def calibrate_vacuum(areas, created_at: float = 0.0) -> CalibrationScale:
         scale=float(np.sqrt(var / VACUUM_VARIANCE)),
         offset=mean,
         n_cal=int(a.size),
-        created_at=created_at,
     )
 
 
-def apply_calibration(
-    areas, cal: CalibrationScale, phases=None, timestamps=None
-) -> QuadratureBatch:
+def apply_calibration(areas, cal: CalibrationScale) -> QuadratureBatch:
     """Convert pulse areas to dimensionless quadratures, ``(a - offset)/scale``."""
     a = np.asarray(areas, dtype=float)
-    return QuadratureBatch(
-        values=(a - cal.offset) / cal.scale, phases=phases, timestamps=timestamps
-    )
+    return QuadratureBatch(values=(a - cal.offset) / cal.scale)
 
 
 def write_csv(path, header: str, columns) -> None:

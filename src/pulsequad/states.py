@@ -130,8 +130,8 @@ class StateModel:
                 raise ValueError("mixture weights must be nonnegative and sum to one")
 
     @classmethod
-    def vacuum(cls, efficiency: float = 1.0) -> "StateModel":
-        return cls(kind="vacuum", efficiency=efficiency)
+    def vacuum(cls) -> "StateModel":
+        return cls(kind="vacuum")
 
     @classmethod
     def coherent(cls, alpha, efficiency: float = 1.0) -> "StateModel":

@@ -10,8 +10,7 @@ sampler also uses (:mod:`pulsequad.states`): ``K = 2 dim - 1`` columns
 ``cos(order * theta + shift)``.  So ``p = coef . A[bin]``, with ``coef``
 the cell's columns and ``A`` a real per-bin matrix formed from ``rho`` once
 per evaluation, and ``R`` comes from one segment sum of ``weights * coef``
-per bin over the cells sorted by bin.  ``sample_quadratures`` lives in
-:mod:`pulsequad.states` and is re-exported here.
+per bin over the cells, which come grouped by bin.
 """
 
 from __future__ import annotations
@@ -27,12 +26,10 @@ from .states import (
     _harmonic_layout,
     apply_loss_adjoint,
     fock_wavefunctions,
-    sample_quadratures,
 )
 
 __all__ = [
     "MleResult",
-    "sample_quadratures",
     "mle_reconstruct",
     "write_density_matrix_csv",
     "write_wigner_csv",
@@ -65,15 +62,17 @@ class MleResult:
 
 
 def _binned_cells(values, phases, bin_width):
+    """Occupied (phase, bin) cells, grouped by bin, phases ascending in each bin."""
     occupied, bin_of_sample = np.unique(
         np.floor(values / bin_width).astype(np.int64), return_inverse=True
     )
     uph, phidx = np.unique(phases, return_inverse=True)
-    # packed over occupied bins, not the full bin range: key < n**2 cannot overflow
-    key = phidx.astype(np.int64) * occupied.size + bin_of_sample
+    # packed bin-major, so np.unique sorts the cells by bin, then by phase; and
+    # over occupied bins, not the full bin range: key < n**2 cannot overflow
+    key = bin_of_sample.astype(np.int64) * uph.size + phidx
     ckey, counts = np.unique(key, return_counts=True)
-    cell_phase = uph[ckey // occupied.size]
-    bin_of_cell = ckey % occupied.size
+    cell_phase = uph[ckey % uph.size]
+    bin_of_cell = ckey // uph.size
     bin_lo = occupied * bin_width
     return cell_phase, bin_of_cell, counts.astype(float), bin_lo
 
@@ -103,7 +102,7 @@ def mle_reconstruct(
     would decrease it, the step is blended toward the identity until it
     does not.
 
-    Cells are sorted by quadrature bin once, so each bin is a contiguous
+    Cells come grouped by quadrature bin, so each bin is a contiguous
     segment.  A cell's probability is ``p = coef . A[bin]``: ``coef``
     holds the cell's ``cos(order * theta + shift)`` columns of the real
     harmonic layout of :mod:`pulsequad.states`, and for column ``k`` of
@@ -136,11 +135,9 @@ def mle_reconstruct(
     fold = np.array([u * np.eye(dim, k=-int(d)) for d, u in zip(order, unit)])
     # every bin holds a cell (_binned_cells keeps occupied bins only), so no
     # segment of the reduceat below is empty
-    by_bin = np.argsort(bin_of_cell, kind="stable")
     cells_per_bin = np.bincount(bin_of_cell, minlength=bin_lo.size)
     bin_starts = np.cumsum(cells_per_bin) - cells_per_bin
-    coef = np.ascontiguousarray(_harmonic_factors(cell_phase[by_bin], order, shift).T)
-    counts = counts[by_bin]
+    coef = np.ascontiguousarray(_harmonic_factors(cell_phase, order, shift).T)
     freqs = counts / counts.sum()
 
     def cell_probs(rho):

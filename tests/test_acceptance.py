@@ -13,8 +13,8 @@ import pytest
 import pulsequad as pq
 from pulsequad.cli import main
 from pulsequad.cli import _thinned_vacuum_blocks, _allan_tau_grid, _child_seed
-from pulsequad.states import coherent_amplitudes, quadrature_pdf
-from pulsequad.tomography import mle_reconstruct, sample_quadratures
+from pulsequad.states import coherent_amplitudes, quadrature_pdf, sample_quadratures
+from pulsequad.tomography import mle_reconstruct
 
 from test_states import random_density_matrix
 

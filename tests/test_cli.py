@@ -205,6 +205,14 @@ CONFIG_FAULTS = {
         "tomography": {"cutoff": 5},
     },
     "trace-export fock above cutoff": {"run": "trace-export", "state": {"kind": "fock", "n": 10}},
+    # f_rep * ALLAN_BLOCK_S rounds to no pulse per Allan block, 0.5 included
+    **{
+        f"characterize f_rep {f_rep:g}": {
+            "run": "characterize",
+            "detector": {"f_rep": f_rep, "sample_rate": 25 * f_rep, "fwhm_pulse": 0.44 / f_rep},
+        }
+        for f_rep in (100.0, 400.0, 500.0)
+    },
 }
 
 

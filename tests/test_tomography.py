@@ -8,14 +8,19 @@ from scipy.special import erf
 from scipy.stats import ks_2samp
 
 from pulsequad.extraction import QuadratureBatch
-from pulsequad.states import StateModel, WignerGrid, coherent_amplitudes, fidelity_pure
+from pulsequad.states import (
+    StateModel,
+    WignerGrid,
+    coherent_amplitudes,
+    fidelity_pure,
+    sample_quadratures,
+)
 from pulsequad.tomography import (
     _QUAD_NODES,
     _QUAD_WEIGHTS,
     _bin_operators,
     _binned_cells,
     mle_reconstruct,
-    sample_quadratures,
     write_wigner_csv,
 )
 
@@ -169,11 +174,23 @@ class TestBinnedCells:
         phases = rng.uniform(0.0, 2.0 * np.pi, values.size)
         width = 1e-14
         cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(values, phases, width)
-        order = np.argsort(phases)
+        order = np.argsort(values)  # one sample per cell, cells grouped by bin
         assert np.array_equal(counts, np.ones(values.size))
         assert np.array_equal(cell_phase, phases[order])
         lo = bin_lo[bin_of_cell]
         assert np.all(np.abs(values[order] - lo - 0.5 * width) <= width)
+
+    def test_cells_come_grouped_by_bin(self):
+        # mle_reconstruct takes each bin's cells as one contiguous segment
+        phases = np.repeat(np.linspace(0.0, np.pi, 7, endpoint=False), 500)
+        values = np.random.default_rng(1).normal(0.0, 1.0, phases.size)
+        cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(values, phases, 0.1)
+        assert np.all(np.diff(bin_of_cell) >= 0)
+        same_bin = np.diff(bin_of_cell) == 0
+        assert np.all(np.diff(cell_phase)[same_bin] > 0)
+        assert counts.sum() == values.size
+        pairs = np.column_stack([cell_phase, bin_of_cell])
+        assert np.unique(pairs, axis=0).shape[0] == cell_phase.size
 
 
 def dense_rrr_reference(batch, cutoff, bin_width, steps):
