@@ -252,36 +252,81 @@ def averaged_allan(curves) -> AllanCurve:
     )
 
 
-def noise_spectrum(trace, segment_len: int) -> SpectrumEstimate:
+def noise_spectrum(
+    trace, segment_len: int, sample_rate: float | None = None
+) -> SpectrumEstimate:
     """One-sided PSD averaged over non-overlapping rectangular segments.
 
-    Normalized so the integral of the PSD over frequency matches the
-    time-domain variance (the trace mean is removed first).  Segments are
-    transformed ``SPECTRUM_BLOCK_SAMPLES`` samples at a time and their
-    periodograms summed row by row in order: the same floats as
-    ``np.mean(np.abs(rfft(segments)) ** 2, axis=0)``, without a second copy
-    of the trace.
+    ``trace`` is a :class:`TraceBuffer`, or with ``sample_rate`` given, an
+    iterable of sample chunks that make up the record in turn: a 2-D block
+    of pulse periods is read row by row, a segment may span chunks, and no
+    chunk is kept past its turn.  Samples past the last whole segment are
+    dropped.  Normalized so the integral of the PSD over frequency matches
+    the time-domain variance (the record mean is removed).
+
+    Samples are centred on the first chunk's mean ``c`` into one buffer of
+    ``SPECTRUM_BLOCK_SAMPLES``, whose segments are transformed together and
+    their periodograms summed row by row in order.  Only the DC term depends
+    on the centre: at the end each segment's DC term is moved to the exact
+    record mean ``m``, by ``-segment_len * (m - c)``, and the squares are
+    summed in segment order.  A trace is one chunk, so ``c == m`` and its
+    PSD is, bit for bit, ``np.mean(np.abs(rfft(segments)) ** 2, axis=0)``
+    of the mean-removed trace, normalized.  Over pulse blocks the PSD is
+    within about 1e-15 relative of the assembled trace's, and within 2e-13
+    on every bin of a single-diode pulse train.
     """
-    n = len(trace.samples)
+    if sample_rate is None:
+        trace, sample_rate = (trace.samples,), trace.sample_rate
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise ValueError("segment_len must be a power of two")
-    if segment_len > n:
-        raise ValueError("trace is shorter than one segment")
-    fs = trace.sample_rate
-    n_seg = n // segment_len
-    x = np.asarray(trace.samples, dtype=float)
-    mean = x.mean()
-    power = np.zeros(segment_len // 2 + 1)
     per_block = max(1, SPECTRUM_BLOCK_SAMPLES // segment_len)
-    for first in range(0, n_seg, per_block):
-        stop = min(first + per_block, n_seg) * segment_len
-        segs = x[first * segment_len : stop].reshape(-1, segment_len) - mean
-        for row in np.abs(np.fft.rfft(segs, axis=1)) ** 2:
-            power += row
-    psd = power / n_seg / (fs * segment_len)
+    # centred samples awaiting transform, their spectra and periodograms
+    buf = np.empty((per_block, segment_len))
+    spec = np.empty((per_block, segment_len // 2 + 1), dtype=complex)
+    periodograms = np.empty(spec.shape)
+    power = np.zeros(segment_len // 2 + 1)
+    dc_terms = []
+
+    def add_periodograms(rows: int) -> None:
+        np.fft.rfft(buf[:rows], axis=1, out=spec[:rows])
+        dc_terms.append(spec[:rows, 0].real.copy())
+        np.square(np.abs(spec[:rows], out=periodograms[:rows]), out=periodograms[:rows])
+        for row in periodograms[:rows]:
+            np.add(power, row, out=power)
+
+    flat = buf.reshape(-1)
+    fill = 0
+    center = None
+    total = 0.0
+    n = 0
+    for chunk in trace:
+        x = np.asarray(chunk, dtype=float).reshape(-1)
+        if not x.size:
+            continue
+        chunk_sum = x.sum()
+        if center is None:
+            center = chunk_sum / x.size
+        total += chunk_sum
+        n += x.size
+        pos = 0
+        while pos < x.size:
+            take = min(flat.size - fill, x.size - pos)
+            np.subtract(x[pos : pos + take], center, out=flat[fill : fill + take])
+            fill += take
+            pos += take
+            if fill == flat.size:
+                add_periodograms(per_block)
+                fill = 0
+    if fill >= segment_len:
+        add_periodograms(fill // segment_len)
+    if not dc_terms:
+        raise ValueError("trace is shorter than one segment")
+    dc = np.concatenate(dc_terms)
+    power[0] = np.cumsum((dc - segment_len * (total / n - center)) ** 2)[-1]
+    psd = power / dc.size / (sample_rate * segment_len)
     psd[1:-1] *= 2.0  # fold negative frequencies; DC and Nyquist stay single
-    freqs = np.fft.rfftfreq(segment_len, 1.0 / fs)
-    return SpectrumEstimate(freqs=freqs, psd=psd, resolution_hz=fs / segment_len)
+    freqs = np.fft.rfftfreq(segment_len, 1.0 / sample_rate)
+    return SpectrumEstimate(freqs=freqs, psd=psd, resolution_hz=sample_rate / segment_len)
 
 
 def _require_common_grid(a: SpectrumEstimate, b: SpectrumEstimate):

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import threading
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from . import __version__
 from .characterization import (
+    AllanCurve,
     DetectorReport,
     allan_deviation,
     averaged_allan,
@@ -43,11 +45,12 @@ from .detector import (
     DetectorConfig,
     _child_seed,
     _seeded_rng,
+    _signal_areas,
+    _trace_blocks,
     electronic_only_areas,
-    electronic_only_trace,
     generate_areas,
     generate_trace,
-    single_diode_trace,
+    single_diode_pulse_area,
     write_trace_binary,
     write_trace_csv,
 )
@@ -315,12 +318,20 @@ def _prepare_out_dir(config: ExperimentConfig) -> str:
     return out
 
 
-def _vacuum_trace(det: DetectorConfig, n_pulses: int, seed: int):
-    return generate_trace(det, StateModel.vacuum(), [0.0], n_pulses, seed)[0]
+def _vacuum_signal(det: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
+    """Noise-free pulse areas of the vacuum trace ``generate_trace`` draws."""
+    return _signal_areas(det, StateModel.vacuum(), [0.0], n_pulses, seed)[0]
 
 
 def _vacuum_areas(det: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
     return generate_areas(det, StateModel.vacuum(), [0.0], n_pulses, seed)
+
+
+def _spectrum(det: DetectorConfig, areas: np.ndarray, seed: int, segment_len: int):
+    """Noise spectrum of the trace of the pulse ``areas``, fed to it in pulse
+    blocks as they are drawn, so the trace is never held."""
+    blocks = _trace_blocks(det, areas, seed)
+    return noise_spectrum(blocks, segment_len, sample_rate=det.sample_rate)
 
 
 def _allan_block_pulses(det: DetectorConfig) -> int:
@@ -331,8 +342,9 @@ def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
     """Block means of a long vacuum record, drawn from the exact Gaussian
     law of block averages instead of synthesizing every pulse.
 
-    A random-walk drift component is approximated by its value at block
-    centres; the linear ramp and shot-noise statistics are exact.
+    A block is ``ALLAN_BLOCK_S`` rounded to whole pulses.  A random-walk
+    drift component is approximated by its value at block centres; the
+    linear ramp and shot-noise statistics are exact.
     """
     n_per_block = _allan_block_pulses(det)
     n_blocks = int(round(ALLAN_DURATION_S / ALLAN_BLOCK_S))
@@ -347,76 +359,120 @@ def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
     return QuadratureBatch(values=means)
 
 
-def _allan_tau_grid() -> np.ndarray:
+def _allan_tau_grid(block_s: float) -> np.ndarray:
+    """Averaging intervals of whole ``block_s`` blocks, 20 per decade."""
     max_m = int(ALLAN_DURATION_S / ALLAN_BLOCK_S) // 2
-    exps = np.arange(0.0, math.log10(max_m) + 1e-9, 0.05)  # 20 points per decade
+    exps = np.arange(0.0, math.log10(max_m) + 1e-9, 0.05)
     m = np.round(10.0**exps).astype(int)  # nondecreasing
     m = m[(np.diff(m, prepend=0) > 0) & (m <= max_m)]  # np.unique would import numpy.ma
-    return m * ALLAN_BLOCK_S
+    return m * block_s
 
 
-def run_characterize(config: ExperimentConfig) -> DetectorReport:
-    """Full characterization battery; writes report.json and curve CSVs."""
-    out = _prepare_out_dir(config)
-    det = config.detector
-    seed = config.seed
-
-    # area records are integrated block by block as they are drawn and never
-    # hold a trace; only the four spectrum records below hold one, in turn
-    points = []
-    for i, frac in enumerate(POWER_FRACTIONS):
-        cfg_i = det.with_power(det.p_lo * frac)
-        areas = _vacuum_areas(cfg_i, config.n_pulses, _child_seed(seed, i))
-        points.append((cfg_i.p_lo, float(np.var(areas, ddof=1))))
-    curve = variance_vs_power(points)
-
-    elec_areas = electronic_only_areas(det, config.n_pulses, _child_seed(seed, 10))
-    var_elec = float(np.var(elec_areas, ddof=1))
-    var_total = points[-1][1]
-    if var_elec > 0.0:
-        snr_db, eta_en = snr_and_efficiency(var_total, var_elec)
-    else:
-        snr_db, eta_en = None, 1.0  # noiseless electronics
-    eta_bhd = overall_efficiency(eta_en, det.eta_pd)
-
-    # bandwidth is read off the smooth shot-noise rolloff: measure it on a
-    # leakage-free vacuum trace so the repetition-rate spur cannot lift the
-    # -3 dB crossing
-    det_clean = replace(det, cmrr_db=math.inf)
-    shot_band = noise_spectrum(
-        _vacuum_trace(det_clean, SPECTRUM_PULSES, _child_seed(seed, 20)), SEGMENT_LEN_BAND
+def _allan_curve(det: DetectorConfig, seed: int) -> AllanCurve:
+    """Mean Allan curve of the ``ALLAN_RECORDS`` block-thinned vacuum records,
+    timed by the true block length: whole pulses, not ``ALLAN_BLOCK_S``."""
+    block_s = _allan_block_pulses(det) / det.f_rep
+    rate, taus = 1.0 / block_s, _allan_tau_grid(block_s)
+    return averaged_allan(
+        allan_deviation(_thinned_vacuum_blocks(det, _child_seed(seed, 50 + r)), rate, taus)
+        for r in range(ALLAN_RECORDS)
     )
-    elec_band = noise_spectrum(
-        electronic_only_trace(det, SPECTRUM_PULSES, _child_seed(seed, 21)), SEGMENT_LEN_BAND
-    )
-    bandwidth = bandwidth_minus3db(shot_band, elec_band)
-    blocked_line = noise_spectrum(
-        single_diode_trace(det, SPECTRUM_PULSES, _child_seed(seed, 22)), SEGMENT_LEN_LINE
-    )
-    balanced_line = noise_spectrum(
-        _vacuum_trace(det, SPECTRUM_PULSES, _child_seed(seed, 23)), SEGMENT_LEN_LINE
-    )
-    rejection = cmrr_db(balanced_line, blocked_line, det.f_rep)
 
+
+def _cc_rows(det: DetectorConfig, seed: int) -> tuple:
+    """``(m, mean, std)`` of the pulse-to-pulse CC over the ``CC_RECORDS`` records."""
     cc_values = np.empty((CC_RECORDS, CC_MAX_LAG + 1))
     for r in range(CC_RECORDS):
         areas = _vacuum_areas(det, CC_PULSES, _child_seed(seed, 30 + r))
         batch = apply_calibration(areas, calibrate_vacuum(areas))
         for m in range(CC_MAX_LAG + 1):
             cc_values[r, m] = correlation_coefficient(batch, m)[0]
-    cc_rows = tuple(
+    return tuple(
         (m, float(cc_values[:, m].mean()), float(cc_values[:, m].std(ddof=1)))
         for m in range(CC_MAX_LAG + 1)
     )
 
-    taus = _allan_tau_grid()
-    curves = [
-        allan_deviation(
-            _thinned_vacuum_blocks(det, _child_seed(seed, 50 + r)), 1.0 / ALLAN_BLOCK_S, taus
+
+def _helper_lane(det: DetectorConfig, n_pulses: int, seed: int) -> tuple:
+    """The characterize records run beside the main lane: the electronic-noise
+    variance, the CC rows and the mean Allan curve."""
+    elec_areas = electronic_only_areas(det, n_pulses, _child_seed(seed, 10))
+    return float(np.var(elec_areas, ddof=1)), _cc_rows(det, seed), _allan_curve(det, seed)
+
+
+def run_characterize(config: ExperimentConfig) -> DetectorReport:
+    """Full characterization battery; writes report.json and curve CSVs.
+
+    Every record has its own child seed, and numpy releases the GIL in the
+    kernels where the records spend their time, so the records run on two
+    threads with no float changed: a helper thread runs ``_helper_lane``
+    while this one runs the power sweep and the four spectrum records.
+    Area records are integrated, and spectrum records transformed, block by
+    block as they are drawn, so no record holds a trace.
+    """
+    out = _prepare_out_dir(config)
+    det = config.detector
+    seed = config.seed
+
+    helper = []  # [(ok, result or exception)]
+
+    def run_helper():
+        try:
+            helper.append((True, _helper_lane(det, config.n_pulses, seed)))
+        except BaseException as exc:  # noqa: BLE001 - raised again on this thread
+            helper.append((False, exc))
+
+    thread = threading.Thread(target=run_helper, name="characterize-helper")
+    thread.start()
+    try:
+        points = []
+        for i, frac in enumerate(POWER_FRACTIONS):
+            cfg_i = det.with_power(det.p_lo * frac)
+            areas = _vacuum_areas(cfg_i, config.n_pulses, _child_seed(seed, i))
+            points.append((cfg_i.p_lo, float(np.var(areas, ddof=1))))
+
+        # bandwidth is read off the smooth shot-noise rolloff: measure it on a
+        # leakage-free vacuum trace so the repetition-rate spur cannot lift
+        # the -3 dB crossing
+        det_clean = replace(det, cmrr_db=math.inf)
+        seed_shot, seed_elec, seed_blocked, seed_balanced = (
+            _child_seed(seed, s) for s in (20, 21, 22, 23)
         )
-        for r in range(ALLAN_RECORDS)
-    ]
-    mean_curve = averaged_allan(curves)
+        shot_band = _spectrum(
+            det_clean,
+            _vacuum_signal(det_clean, SPECTRUM_PULSES, seed_shot),
+            seed_shot,
+            SEGMENT_LEN_BAND,
+        )
+        elec_band = _spectrum(det, np.zeros(SPECTRUM_PULSES), seed_elec, SEGMENT_LEN_BAND)
+        blocked_line = _spectrum(
+            det,
+            np.full(SPECTRUM_PULSES, single_diode_pulse_area(det)),
+            seed_blocked,
+            SEGMENT_LEN_LINE,
+        )
+        balanced_line = _spectrum(
+            det,
+            _vacuum_signal(det, SPECTRUM_PULSES, seed_balanced),
+            seed_balanced,
+            SEGMENT_LEN_LINE,
+        )
+    finally:
+        thread.join()
+    ok, result = helper[0]
+    if not ok:
+        raise result
+    var_elec, cc_rows, mean_curve = result
+
+    curve = variance_vs_power(points)
+    var_total = points[-1][1]
+    if var_elec > 0.0:
+        snr_db, eta_en = snr_and_efficiency(var_total, var_elec)
+    else:
+        snr_db, eta_en = None, 1.0  # noiseless electronics
+    eta_bhd = overall_efficiency(eta_en, det.eta_pd)
+    bandwidth = bandwidth_minus3db(shot_band, elec_band)
+    rejection = cmrr_db(balanced_line, blocked_line, det.f_rep)
     stability = find_stability_interval(mean_curve)
     tbp = time_bandwidth_product(bandwidth, stability)
 

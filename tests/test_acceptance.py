@@ -127,7 +127,7 @@ def test_05_correlation_coefficient():
 
 def test_06_allan_deviation(report):
     det = pq.DetectorConfig()
-    taus = _allan_tau_grid()
+    taus = _allan_tau_grid(1e-3)
     curves = [
         pq.allan_deviation(_thinned_vacuum_blocks(det, _child_seed(0, 50 + r)), 1e3, taus)
         for r in range(10)

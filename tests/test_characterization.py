@@ -24,12 +24,22 @@ from pulsequad.characterization import (
     time_bandwidth_product,
     variance_vs_power,
 )
-from pulsequad.cli import _allan_tau_grid, _child_seed, _thinned_vacuum_blocks
+from pulsequad.cli import (
+    SPECTRUM_PULSES,
+    _allan_curve,
+    _allan_tau_grid,
+    _child_seed,
+    _thinned_vacuum_blocks,
+)
 from pulsequad.detector import (
     DetectorConfig,
     DriftModel,
     TraceBuffer,
+    _assemble_trace,
+    _signal_areas,
+    _trace_blocks,
     generate_trace,
+    single_diode_pulse_area,
     single_diode_trace,
 )
 from pulsequad.extraction import QuadratureBatch
@@ -216,7 +226,7 @@ class TestAllanRunningSum:
     @pytest.mark.parametrize("record", range(10))
     def test_matches_blockwise_on_thinned_vacuum_records(self, record):
         batch = _thinned_vacuum_blocks(DetectorConfig(), _child_seed(0, 50 + record))
-        taus = _allan_tau_grid()
+        taus = _allan_tau_grid(1e-3)
         curve = allan_deviation(batch, 1e3, taus)
         devs, pairs = blockwise_allan(batch.values, 1e3, taus)
         assert np.array_equal(curve.n_pairs, pairs)
@@ -236,8 +246,22 @@ class TestAllanRunningSum:
     @pytest.mark.parametrize("value", [0.1, -7.3, 1e6 + 0.1, 2.0**-30])
     def test_any_constant_series_is_zero(self, value):
         batch = QuadratureBatch(values=np.full(80_000, value))
-        curve = allan_deviation(batch, 1e3, _allan_tau_grid())
+        curve = allan_deviation(batch, 1e3, _allan_tau_grid(1e-3))
         assert np.all(curve.deviations == 0.0)
+
+
+@pytest.mark.parametrize("f_rep", [1400.0, 1e3, 80e6])
+def test_allan_of_pure_drift_at_its_block_length(f_rep):
+    # a block is 1 ms rounded to whole pulses: 1 pulse, 1/1400 s, at 1400 Hz
+    det = DetectorConfig(
+        f_rep=f_rep,
+        sample_rate=25 * f_rep,
+        fwhm_pulse=0.44 / f_rep,
+        drift=DriftModel(linear_rate=1.0),
+    )
+    curve = _allan_curve(det, 0)
+    k = int(np.argmin(np.abs(curve.taus - 1.0)))
+    assert curve.deviations[k] == pytest.approx(curve.taus[k] / math.sqrt(2), rel=0.01)
 
 
 class TestStabilityInterval:
@@ -378,6 +402,41 @@ class TestNoiseSpectrum:
         trace = TraceBuffer(sample_rate=1e6, t0=0.0, samples=np.zeros(100))
         with pytest.raises(ValueError):
             noise_spectrum(trace, 128)
+
+
+class TestChunkedSpectrum:
+    @pytest.mark.parametrize("segment_len", [2**10, 2**15])
+    @pytest.mark.parametrize("record", ["vacuum", "dark", "single diode"])
+    def test_pulse_blocks_match_assembled_trace(self, segment_len, record):
+        # 4,096-pulse blocks of 102,400 samples: 2**15-sample segments span blocks
+        det = DetectorConfig()
+        n = SPECTRUM_PULSES
+        areas = {
+            "vacuum": lambda: _signal_areas(det, StateModel.vacuum(), [0.0], n, 5)[0],
+            "dark": lambda: np.zeros(n),
+            "single diode": lambda: np.full(n, single_diode_pulse_area(det)),
+        }[record]()
+        whole = noise_spectrum(_assemble_trace(det, areas, 5), segment_len)
+        blocks = _trace_blocks(det, areas, 5)
+        streamed = noise_spectrum(blocks, segment_len, sample_rate=det.sample_rate)
+        assert np.array_equal(streamed.freqs, whole.freqs)
+        assert streamed.resolution_hz == whole.resolution_hz
+        assert np.max(np.abs(streamed.psd / whole.psd - 1)) <= 1e-12
+
+    def test_any_chunking_matches_whole_trace(self):
+        rng = np.random.default_rng(8)
+        samples = 3.0 + rng.normal(size=40 * 256 + 100)
+        cuts = np.sort(rng.integers(0, samples.size, 30))
+        chunks = np.split(samples, cuts)  # empty and sub-segment chunks too
+        whole = noise_spectrum(TraceBuffer(sample_rate=1e6, t0=0.0, samples=samples), 256)
+        streamed = noise_spectrum(chunks, 256, sample_rate=1e6)
+        assert np.max(np.abs(streamed.psd / whole.psd - 1)) <= 1e-12
+
+    def test_shorter_than_one_segment(self):
+        with pytest.raises(ValueError, match="shorter"):
+            noise_spectrum([np.zeros(100), np.zeros(27)], 128, sample_rate=1e6)
+        with pytest.raises(ValueError, match="shorter"):
+            noise_spectrum([], 128, sample_rate=1e6)
 
 
 class TestBandwidth:

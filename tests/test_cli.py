@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from dataclasses import fields
 
@@ -470,6 +471,57 @@ class TestCharacterizeRun:
         assert report["cmrr_db"] == pytest.approx(40.0, abs=1.0)
 
 
+    @pytest.mark.parametrize("lane_fn", ["allan_deviation", "noise_spectrum"])
+    def test_failed_record_in_either_lane_exits_3(
+        self, tmp_path, capsys, monkeypatch, lane_fn
+    ):
+        # allan_deviation runs on the helper thread, the spectra on the caller's
+        def fail(*args, **kwargs):
+            raise RuntimeError(f"{lane_fn} failed")
+
+        monkeypatch.setattr(cli, lane_fn, fail)
+        out = tmp_path / "out"
+        doc = {"run": "characterize", "n_pulses": 200, "out_dir": str(out)}
+        path = write_config(tmp_path, doc)
+        threads = threading.active_count()
+        assert main(["characterize", "--config", path]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"pulsequad: error: {lane_fn} failed"]
+        assert threading.active_count() == threads
+        assert not (out / "report.json").exists()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity") or 0 not in os.sched_getaffinity(0),
+        reason="CPU affinity is unavailable",
+    )
+    def test_one_cpu_run_writes_same_bytes(self, tmp_path):
+        outputs = {}
+        for pin in ("pin", "free"):
+            out = tmp_path / pin
+            doc = {"run": "characterize", "n_pulses": 2000, "seed": 3, "out_dir": str(out)}
+            path = write_config(tmp_path, doc, f"{pin}.json")
+            proc = subprocess.run(
+                [sys.executable, "-c", ONE_CPU_SCRIPT, pin, path],
+                env=fresh_env(), capture_output=True, text=True, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == ("[0]\n" if pin == "pin" else "")
+            outputs[pin] = read_all_outputs(out)
+        assert len(outputs["pin"]) == 5
+        assert outputs["pin"] == outputs["free"]
+
+
+# Pins itself to CPU 0 when asked, so both characterize lanes share one CPU.
+ONE_CPU_SCRIPT = """
+import os, sys
+if sys.argv[1] == "pin":
+    os.sched_setaffinity(0, {0})
+    print(sorted(os.sched_getaffinity(0)))
+from pulsequad.cli import main
+sys.exit(main(["characterize", "--config", sys.argv[2]]))
+"""
+
+
 class TestMainEntry:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -499,6 +551,13 @@ print(json.dumps(sorted(sys.modules)))
 """
 
 
+def fresh_env():
+    """The environment of a new interpreter that imports this pulsequad."""
+    src = os.path.dirname(os.path.dirname(pulsequad.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def modules_after_fresh_runs(tmp_path, docs):
     """Run each ``{run: config}`` in one new interpreter; return the names of
     the modules it has imported at the end."""
@@ -506,12 +565,9 @@ def modules_after_fresh_runs(tmp_path, docs):
     for run, doc in docs.items():
         doc = {**doc, "run": run, "out_dir": str(tmp_path / run)}
         runs.append((run, write_config(tmp_path, doc, f"{run}.json")))
-    src = os.path.dirname(os.path.dirname(pulsequad.__file__))
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", FRESH_RUN_SCRIPT, json.dumps(runs)],
-        env=env, capture_output=True, text=True, timeout=120,
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return set(json.loads(proc.stdout.splitlines()[-1]))
