@@ -46,13 +46,13 @@ from .detector import (
     _child_seed,
     _seeded_rng,
     _signal_areas,
+    _stream_trace_bin,
+    _stream_trace_csv,
     _trace_blocks,
+    _trace_t0,
     electronic_only_areas,
     generate_areas,
-    generate_trace,
     single_diode_pulse_area,
-    write_trace_binary,
-    write_trace_csv,
 )
 from .extraction import (
     QuadratureBatch,
@@ -318,11 +318,6 @@ def _prepare_out_dir(config: ExperimentConfig) -> str:
     return out
 
 
-def _vacuum_signal(det: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
-    """Noise-free pulse areas of the vacuum trace ``generate_trace`` draws."""
-    return _signal_areas(det, StateModel.vacuum(), [0.0], n_pulses, seed)[0]
-
-
 def _vacuum_areas(det: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
     return generate_areas(det, StateModel.vacuum(), [0.0], n_pulses, seed)
 
@@ -438,9 +433,10 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
         seed_shot, seed_elec, seed_blocked, seed_balanced = (
             _child_seed(seed, s) for s in (20, 21, 22, 23)
         )
+        vacuum = StateModel.vacuum()
         shot_band = _spectrum(
             det_clean,
-            _vacuum_signal(det_clean, SPECTRUM_PULSES, seed_shot),
+            _signal_areas(det_clean, vacuum, [0.0], SPECTRUM_PULSES, seed_shot)[0],
             seed_shot,
             SEGMENT_LEN_BAND,
         )
@@ -453,7 +449,7 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
         )
         balanced_line = _spectrum(
             det,
-            _vacuum_signal(det, SPECTRUM_PULSES, seed_balanced),
+            _signal_areas(det, vacuum, [0.0], SPECTRUM_PULSES, seed_balanced)[0],
             seed_balanced,
             SEGMENT_LEN_LINE,
         )
@@ -546,18 +542,16 @@ def run_tomography(config: ExperimentConfig) -> dict:
 
 
 def run_trace_export(config: ExperimentConfig) -> None:
-    """Simulate one trace and export it as CSV and raw binary."""
+    """Export the trace ``generate_trace`` would draw as CSV and raw binary;
+    each writer draws it anew in pulse blocks, so no trace is held."""
     out = _prepare_out_dir(config)
-    phases = config.phases.realize(config.n_pulses, _seeded_rng(config.seed, 0))
-    trace, _ = generate_trace(
-        config.detector,
-        config.state,
-        phases,
-        config.n_pulses,
-        _child_seed(config.seed, 1),
-    )
-    _atomic(out, "trace.csv", write_trace_csv, trace)
-    _atomic(out, "trace.bin", write_trace_binary, trace)
+    det, n, seed = config.detector, config.n_pulses, _child_seed(config.seed, 1)
+    phases = config.phases.realize(n, _seeded_rng(config.seed, 0))
+    head = (det.sample_rate, _trace_t0(det))
+    areas = _signal_areas(det, config.state, phases, n, seed)[0]
+    _atomic(out, "trace.csv", _stream_trace_csv, *head, _trace_blocks(det, areas, seed))
+    blocks, count = _trace_blocks(det, areas, seed), n * det.samples_per_period
+    _atomic(out, "trace.bin", _stream_trace_bin, *head, count, blocks)
 
 
 _RUNNERS = {

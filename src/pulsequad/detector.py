@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .extraction import _trapezoid_rows, write_csv
+from .extraction import _trapezoid_rows, _write_csv_blocks
 from .states import StateModel, sample_quadratures
 
 __all__ = [
@@ -137,9 +137,6 @@ class TraceBuffer:
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
 
-    def times(self) -> np.ndarray:
-        return self.t0 + np.arange(self.samples.size) / self.sample_rate
-
 
 @dataclass(frozen=True)
 class GroundTruth:
@@ -224,6 +221,11 @@ def _seeded_rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, stream])))
 
 
+def _trace_t0(config: DetectorConfig) -> float:
+    """Start of a trace, half a period before the first peak, in this exact form."""
+    return -(config.samples_per_period // 2) * (1.0 / config.sample_rate)
+
+
 def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
     """Yield the trace of the per-pulse ``areas`` as row blocks, in stream order.
 
@@ -237,6 +239,8 @@ def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
     arrays per block held a default characterize run's peak RSS about
     1.6 MB higher.
     """
+    if areas.size < 1:
+        raise ValueError("n_pulses must be at least 1")
     shape = _pulse_shape(config)
     sigma = _noise_sigma(config)
     rng = _seeded_rng(seed, 2) if config.elec_noise_area_var > 0 else None
@@ -255,17 +259,22 @@ def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
         yield block
 
 
-def _assemble_trace(config: DetectorConfig, areas: np.ndarray, seed: int) -> TraceBuffer:
-    spp = config.samples_per_period
-    dt = 1.0 / config.sample_rate
-    samples = np.empty((areas.size, spp))
+def _flat_samples(blocks):
+    """Yield ``(k, samples)`` per block: its samples flattened, k the first one's index."""
     start = 0
-    for block in _trace_blocks(config, areas, seed):
-        samples[start : start + len(block)] = block
-        start += len(block)
-    return TraceBuffer(
-        sample_rate=config.sample_rate, t0=-(spp // 2) * dt, samples=samples.reshape(-1)
-    )
+    for block in blocks:
+        samples = np.reshape(block, -1)
+        if not np.all(np.isfinite(samples)):
+            raise ValueError("trace contains non-finite samples")
+        yield start, samples
+        start += samples.size
+
+
+def _assemble_trace(config: DetectorConfig, areas: np.ndarray, seed: int) -> TraceBuffer:
+    samples = np.empty(areas.size * config.samples_per_period)
+    for k, x in _flat_samples(_trace_blocks(config, areas, seed)):
+        samples[k : k + x.size] = x
+    return TraceBuffer(config.sample_rate, _trace_t0(config), samples)
 
 
 def _block_areas(config: DetectorConfig, areas: np.ndarray, seed: int) -> np.ndarray:
@@ -277,15 +286,9 @@ def _block_areas(config: DetectorConfig, areas: np.ndarray, seed: int) -> np.nda
 
 def _signal_areas(
     config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int
-) -> tuple[np.ndarray, GroundTruth]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free pulse areas: quadratures sampled at ``DEFAULT_CUTOFF``, plus
-    drift and leakage."""
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be at least 1")
-    phases = np.atleast_1d(np.asarray(phases, dtype=float))
-    if phases.size not in (1, n_pulses):
-        raise ValueError("phase schedule must have length 1 or n_pulses")
-
+    drift and leakage; returned with those quadratures and the drift."""
     # the batch, phases included, lives until return: freeing it before the
     # area arrays are drawn raised a characterize run's peak RSS by 1.1 MB
     batch = sample_quadratures(state, phases, n_pulses, _child_seed(seed, 0))
@@ -299,10 +302,7 @@ def _signal_areas(
             rng_walk.normal(0.0, config.drift.random_walk_sigma, n_pulses)
         )
 
-    scale = area_scale(config)
-    leak = leakage_area(config)
-    areas = scale * (x + baseline) + leak
-    return areas, GroundTruth(quadratures=x, baseline_areas=scale * baseline + leak)
+    return area_scale(config) * (x + baseline) + leakage_area(config), x, baseline
 
 
 def generate_trace(
@@ -312,9 +312,10 @@ def generate_trace(
 
     Pulse k is centred at ``t_k = k / f_rep``; the trace starts half a
     period earlier so every pulse window is complete.  Identical arguments
-    produce bit-identical traces.
+    produce bit-identical traces; ``trace-export`` streams the same one.
     """
-    areas, truth = _signal_areas(config, state, phases, n_pulses, seed)
+    areas, x, baseline = _signal_areas(config, state, phases, n_pulses, seed)
+    truth = GroundTruth(x, area_scale(config) * baseline + leakage_area(config))
     return _assemble_trace(config, areas, seed), truth
 
 
@@ -328,36 +329,45 @@ def generate_areas(
     f_rep, 0.0, 1 / f_rep))`` of that trace; the trace is synthesized and
     integrated ``BLOCK_PULSES`` periods at a time.
     """
-    areas, _ = _signal_areas(config, state, phases, n_pulses, seed)
+    areas = _signal_areas(config, state, phases, n_pulses, seed)[0]
     return _block_areas(config, areas, seed)
 
 
 def single_diode_trace(config: DetectorConfig, n_pulses: int, seed: int) -> TraceBuffer:
     """Unsubtracted single-diode trace: equal pulses carrying half the LO power."""
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be at least 1")
     areas = np.full(n_pulses, single_diode_pulse_area(config))
     return _assemble_trace(config, areas, seed)
 
 
 def electronic_only_trace(config: DetectorConfig, n_pulses: int, seed: int) -> TraceBuffer:
     """Dark trace spanning ``n_pulses`` periods: electronic noise only."""
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be at least 1")
     return _assemble_trace(config, np.zeros(n_pulses), seed)
 
 
 def electronic_only_areas(config: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
     """Integrated pulse areas of :func:`electronic_only_trace`, drawn block
     by block like :func:`generate_areas`."""
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be at least 1")
     return _block_areas(config, np.zeros(n_pulses), seed)
+
+
+def _stream_trace_csv(sample_rate: float, t0: float, blocks, path) -> None:
+    """The one ``trace.csv`` writer; sample k of ``blocks`` is at ``t0 + k / sample_rate``."""
+    samples = _flat_samples(blocks)
+    rows = ((t0 + np.arange(k, k + x.size) / sample_rate, x) for k, x in samples)
+    _write_csv_blocks(path, "time_s,voltage_v", rows)
+
+
+def _stream_trace_bin(sample_rate: float, t0: float, count: int, blocks, path) -> None:
+    """The one ``trace.bin`` writer: a ``count``-sample header, then each block."""
+    with open(path, "wb") as fh:
+        fh.write(TRACE_MAGIC + struct.pack("<dQd", sample_rate, count, t0))
+        for _, x in _flat_samples(blocks):
+            fh.write(np.ascontiguousarray(x, dtype="<f8"))
 
 
 def write_trace_csv(trace: TraceBuffer, path) -> None:
     """Write ``time_s,voltage_v`` rows, one per sample."""
-    write_csv(path, "time_s,voltage_v", (trace.times(), trace.samples))
+    _stream_trace_csv(trace.sample_rate, trace.t0, [trace.samples], path)
 
 
 def write_trace_binary(trace: TraceBuffer, path) -> None:
@@ -366,11 +376,7 @@ def write_trace_binary(trace: TraceBuffer, path) -> None:
     Header layout: magic ``PQTRACE2``, sample rate as float64, sample count
     as uint64, start time ``t0`` as float64.
     """
-    samples = np.ascontiguousarray(trace.samples, dtype="<f8")
-    header = TRACE_MAGIC + struct.pack("<dQd", trace.sample_rate, samples.size, trace.t0)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(samples.tobytes())
+    _stream_trace_bin(trace.sample_rate, trace.t0, trace.samples.size, [trace.samples], path)
 
 
 def read_trace_binary(path) -> TraceBuffer:

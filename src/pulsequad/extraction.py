@@ -133,10 +133,9 @@ def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
     """Trapezoidal areas of every window of a trace (equal window lengths).
 
     Each window is a half-open ``[start, stop)`` sample range of at least
-    two samples inside the trace.  Windows whose starts rise in even steps,
-    as :func:`segment_pulses` gives at an integer number of samples per
-    period, are integrated through a strided view of the trace; any other
-    layout is gathered into a copy first.  Both give the same areas.
+    two samples inside the trace; windows may overlap or come in any order.
+    They are gathered from a sliding-window view of the trace and integrated
+    by the one area kernel, so each area has the same bits in any layout.
     """
     samples = np.asarray(trace.samples)
     windows = np.asarray(windows, dtype=np.int64)
@@ -150,12 +149,7 @@ def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:
         raise ValueError("window must contain at least two samples")
     if starts.min() < 0 or starts.max() + n_w > samples.size:
         raise ValueError("windows must lie inside the trace")
-    view = np.lib.stride_tricks.sliding_window_view(samples, n_w)
-    step = int(starts[1] - starts[0]) if starts.size > 1 else 1
-    if step > 0 and np.all(np.diff(starts) == step):
-        rows = view[starts[0] : starts[-1] + 1 : step]
-    else:
-        rows = view[starts]
+    rows = np.lib.stride_tricks.sliding_window_view(samples, n_w)[starts]
     return _trapezoid_rows(rows, trace.sample_rate)
 
 
@@ -192,13 +186,19 @@ def write_csv(path, header: str, columns) -> None:
     as their shortest round-trip ``repr``, integers as integers, and ``str``
     cells (an object or unicode column) pass through unchanged.
     """
-    cols = [np.asarray(c) for c in columns]
-    line = ",".join(["%s"] * len(cols)) + "\n"
+    _write_csv_blocks(path, header, [columns])
+
+
+def _write_csv_blocks(path, header: str, blocks) -> None:
+    """:func:`write_csv` over an iterable of column blocks, written in turn."""
     with open(path, "w", newline="\n") as fh:
         fh.write(header + "\n")
-        for start in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
-            block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in cols]
-            fh.write("".join(map(line.__mod__, zip(*block))))
+        for columns in blocks:
+            cols = [np.asarray(c) for c in columns]
+            line = ",".join(["%s"] * len(cols)) + "\n"
+            for start in range(0, len(cols[0]) if cols else 0, CSV_BLOCK_ROWS):
+                block = [c[start : start + CSV_BLOCK_ROWS].tolist() for c in cols]
+                fh.write("".join(map(line.__mod__, zip(*block))))
 
 
 def write_batch_csv(batch: QuadratureBatch, path) -> None:
