@@ -200,6 +200,9 @@ class ExperimentConfig:
                 f"characterize needs at least one pulse per {ALLAN_BLOCK_S:g} s Allan block;"
                 f" f_rep {self.detector.f_rep:g} Hz gives none"
             )
+        # the battery calibrates against shot noise, which a blind photodiode lacks
+        if self.run == "characterize" and self.detector.eta_pd == 0:
+            raise ConfigError("characterize needs detector.eta_pd > 0: there is no shot noise")
         # characterize samples no configured state; trace-export samples at DEFAULT_CUTOFF
         cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
         cutoff = cutoffs.get(self.run, math.inf)
@@ -294,10 +297,17 @@ def load_config(
 
 
 def _atomic(out: str, name: str, write_fn, *args) -> None:
-    """Write artifact ``name`` into ``out`` by ``write_fn(*args, tmp)`` and a rename."""
+    """Write artifact ``name`` into ``out`` by ``write_fn(*args, tmp)`` and a
+    rename; a writer that raises leaves no file behind."""
     path = os.path.join(out, name)
-    write_fn(*args, f"{path}.tmp")
-    os.replace(f"{path}.tmp", path)
+    tmp = f"{path}.tmp"
+    try:
+        write_fn(*args, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _write_json(doc: dict, path) -> None:
@@ -542,16 +552,21 @@ def run_tomography(config: ExperimentConfig) -> dict:
 
 
 def run_trace_export(config: ExperimentConfig) -> None:
-    """Export the trace ``generate_trace`` would draw as CSV and raw binary;
-    each writer draws it anew in pulse blocks, so no trace is held."""
+    """Export the trace ``generate_trace`` would draw as CSV and raw binary.
+
+    Each writer draws the trace anew in pulse blocks and writes each block as
+    it comes, so no trace is held.  A non-finite sample raises in the writer
+    and leaves no file, so an overflow in the synthesis does not also warn.
+    """
     out = _prepare_out_dir(config)
     det, n, seed = config.detector, config.n_pulses, _child_seed(config.seed, 1)
     phases = config.phases.realize(n, _seeded_rng(config.seed, 0))
     head = (det.sample_rate, _trace_t0(det))
-    areas = _signal_areas(det, config.state, phases, n, seed)[0]
-    _atomic(out, "trace.csv", _stream_trace_csv, *head, _trace_blocks(det, areas, seed))
-    blocks, count = _trace_blocks(det, areas, seed), n * det.samples_per_period
-    _atomic(out, "trace.bin", _stream_trace_bin, *head, count, blocks)
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = _signal_areas(det, config.state, phases, n, seed)[0]
+        _atomic(out, "trace.csv", _stream_trace_csv, *head, _trace_blocks(det, areas, seed))
+        blocks, count = _trace_blocks(det, areas, seed), n * det.samples_per_period
+        _atomic(out, "trace.bin", _stream_trace_bin, *head, count, blocks)
 
 
 _RUNNERS = {

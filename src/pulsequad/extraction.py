@@ -182,9 +182,9 @@ def apply_calibration(areas, cal: CalibrationScale) -> QuadratureBatch:
 def write_csv(path, header: str, columns) -> None:
     """Write ``header`` and then one comma-separated line per row of ``zip(*columns)``.
 
-    Columns go through ``ndarray.tolist()`` and ``%s``, so floats are written
-    as their shortest round-trip ``repr``, integers as integers, and ``str``
-    cells (an object or unicode column) pass through unchanged.
+    Columns go through ``ndarray.tolist()`` and ``%s`` (floats as their shortest
+    round-trip ``repr``, integers as integers, ``str`` cells unchanged), in the
+    one row formatter, which the streamed ``trace.csv`` writer shares.
     """
     _write_csv_blocks(path, header, [columns])
 

@@ -24,8 +24,18 @@ from pulsequad.cli import (
     load_config,
     main,
     run_characterize,
+    run_trace_export,
 )
-from pulsequad.detector import DetectorConfig, DriftModel
+from pulsequad.detector import (
+    PULSE_SHAPES,
+    DetectorConfig,
+    DriftModel,
+    _child_seed,
+    _seeded_rng,
+    generate_trace,
+    write_trace_binary,
+    write_trace_csv,
+)
 from pulsequad.states import StateModel
 
 
@@ -214,6 +224,12 @@ CONFIG_FAULTS = {
         }
         for f_rep in (100.0, 400.0, 500.0)
     },
+    # characterize calibrates against shot noise, and eta_pd 0 gives none
+    "characterize eta_pd 0": {"run": "characterize", "detector": {"eta_pd": 0.0}},
+    "characterize eta_pd 0 with electronic noise": {
+        "run": "characterize",
+        "detector": {"eta_pd": 0.0, "elec_noise_area_var": 1e-22},
+    },
 }
 
 
@@ -322,6 +338,66 @@ class TestTraceExport:
         main(["trace-export", "--config", p1])
         main(["trace-export", "--config", p2, "--seed", "10"])
         assert (out1 / "trace.bin").read_bytes() != (out2 / "trace.bin").read_bytes()
+
+    @pytest.mark.parametrize("shape", PULSE_SHAPES)
+    @pytest.mark.parametrize("n_pulses", [1, 4095, 4096, 4097, 8193])
+    def test_streamed_export_equals_assembled_trace(self, tmp_path, n_pulses, shape):
+        # the run writes pulse block by pulse block; the n_pulses straddle
+        # the 4,096-pulse block edges
+        self.check_streamed_export(tmp_path, n_pulses, {"pulse_shape": shape})
+
+    def test_streamed_export_of_noiseless_detector(self, tmp_path):
+        self.check_streamed_export(tmp_path, 4097, {"elec_noise_area_var": 0.0})
+
+    @staticmethod
+    def check_streamed_export(tmp_path, n_pulses, detector):
+        doc = {
+            "run": "trace-export",
+            "n_pulses": n_pulses,
+            "seed": 5,
+            "out_dir": str(tmp_path / "out"),
+            "detector": {**detector, "drift": {"random_walk_sigma": 0.01}},
+            "state": {"kind": "coherent", "alpha": [1.5, -0.5]},
+            "phases": {"kind": "random"},
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["trace-export", "--config", path]) == 0
+        # the trace the run once assembled, written whole
+        config = load_config(path)
+        phases = config.phases.realize(n_pulses, _seeded_rng(config.seed, 0))
+        trace, _ = generate_trace(
+            config.detector, config.state, phases, n_pulses, _child_seed(config.seed, 1)
+        )
+        assert trace.samples.size == 25 * n_pulses
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        write_trace_binary(trace, tmp_path / "trace.bin")
+        for name in ("trace.csv", "trace.bin"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+
+    def test_non_finite_trace_exits_3_and_leaves_no_file(self, tmp_path, capsys, recwarn):
+        # the random walk overflows to inf in the first pulse block, so the
+        # CSV writer fails after it has opened its temporary file
+        out = tmp_path / "out"
+        doc = {
+            "run": "trace-export",
+            "n_pulses": 400,
+            "out_dir": str(out),
+            "detector": {"drift": {"random_walk_sigma": 1e307}},
+        }
+        assert main(["trace-export", "--config", write_config(tmp_path, doc)]) == 3
+        assert capsys.readouterr().err == "pulsequad: error: trace contains non-finite samples\n"
+        assert [str(w.message) for w in recwarn] == []
+        assert sorted(os.listdir(out)) == []
+
+    def test_failed_writer_leaves_no_temporary_file(self, tmp_path):
+        def half_written(path):
+            with open(path, "w") as fh:
+                fh.write("time_s,voltage_v\n")
+            raise ValueError("writer failed")
+
+        with pytest.raises(ValueError, match="writer failed"):
+            cli._atomic(str(tmp_path), "trace.csv", half_written)
+        assert sorted(os.listdir(tmp_path)) == []
 
     def test_unwritable_out_dir_is_config_error(self, tmp_path):
         blocker = tmp_path / "file"
@@ -626,4 +702,20 @@ def test_characterize_peak_memory(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
+def test_trace_export_peak_memory(tmp_path):
+    # each writer draws the trace in pulse blocks as it writes; holding the
+    # whole 40,000-pulse trace and its time axis, as the run once did, peaks
+    # at about 25 MiB
+    doc = {"run": "trace-export", "n_pulses": 40_000, "out_dir": str(tmp_path / "out")}
+    config = load_config(write_config(tmp_path, doc))
+    tracemalloc.start()
+    try:
+        run_trace_export(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "out" / "trace.bin").stat().st_size == 32 + 8 * 25 * 40_000
     assert peak < 12 * 2**20

@@ -271,6 +271,21 @@ class TestBlockAreas:
         with pytest.raises(ValueError):
             electronic_only_areas(cfg, 0, seed=1)
 
+    def test_every_record_rejects_zero_pulses(self):
+        # one check in the pulse-block stream serves the records drawn from
+        # fixed areas; the sampled records fail first, in the sampler
+        cfg = DetectorConfig()
+        records = [
+            lambda: generate_trace(cfg, StateModel.vacuum(), [0.0], 0, seed=1),
+            lambda: generate_areas(cfg, StateModel.vacuum(), [0.0], 0, seed=1),
+            lambda: single_diode_trace(cfg, 0, seed=1),
+            lambda: electronic_only_trace(cfg, 0, seed=1),
+            lambda: electronic_only_areas(cfg, 0, seed=1),
+        ]
+        for record in records:
+            with pytest.raises(ValueError, match="at least 1"):
+                record()
+
 
 class TestSingleDiode:
     def test_pulse_area(self):
