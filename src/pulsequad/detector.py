@@ -222,7 +222,7 @@ def _seeded_rng(seed: int, stream: int) -> np.random.Generator:
 
 
 def _trace_t0(config: DetectorConfig) -> float:
-    """Start of a trace, half a period before the first peak, in this exact form."""
+    """Trace start, half a period before pulse 0; ``/ sample_rate`` rounds otherwise."""
     return -(config.samples_per_period // 2) * (1.0 / config.sample_rate)
 
 

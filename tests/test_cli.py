@@ -389,16 +389,6 @@ class TestTraceExport:
         assert [str(w.message) for w in recwarn] == []
         assert sorted(os.listdir(out)) == []
 
-    def test_failed_writer_leaves_no_temporary_file(self, tmp_path):
-        def half_written(path):
-            with open(path, "w") as fh:
-                fh.write("time_s,voltage_v\n")
-            raise ValueError("writer failed")
-
-        with pytest.raises(ValueError, match="writer failed"):
-            cli._atomic(str(tmp_path), "trace.csv", half_written)
-        assert sorted(os.listdir(tmp_path)) == []
-
     def test_unwritable_out_dir_is_config_error(self, tmp_path):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -270,21 +270,13 @@ class TestBlockAreas:
             generate_areas(cfg, StateModel.vacuum(), [0.0], 0, seed=1)
         with pytest.raises(ValueError):
             electronic_only_areas(cfg, 0, seed=1)
-
-    def test_every_record_rejects_zero_pulses(self):
-        # one check in the pulse-block stream serves the records drawn from
-        # fixed areas; the sampled records fail first, in the sampler
-        cfg = DetectorConfig()
-        records = [
-            lambda: generate_trace(cfg, StateModel.vacuum(), [0.0], 0, seed=1),
-            lambda: generate_areas(cfg, StateModel.vacuum(), [0.0], 0, seed=1),
-            lambda: single_diode_trace(cfg, 0, seed=1),
-            lambda: electronic_only_trace(cfg, 0, seed=1),
-            lambda: electronic_only_areas(cfg, 0, seed=1),
-        ]
-        for record in records:
-            with pytest.raises(ValueError, match="at least 1"):
-                record()
+        # the records drawn from fixed areas share one check, in the pulse
+        # blocks; the sampled ones fail first, in the sampler
+        for record in (single_diode_trace, electronic_only_trace, electronic_only_areas):
+            with pytest.raises(ValueError, match="n_pulses must be at least 1"):
+                record(cfg, 0, seed=1)
+        with pytest.raises(ValueError, match="at least 1"):
+            generate_trace(cfg, StateModel.vacuum(), [0.0], 0, seed=1)
 
 
 class TestSingleDiode:
