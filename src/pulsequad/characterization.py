@@ -32,7 +32,7 @@ __all__ = [
     "write_cc_csv",
 ]
 
-SPECTRUM_BLOCK_SAMPLES = 2**16  # trace samples Fourier-transformed at a time
+SPECTRUM_BLOCK_SAMPLES = 2**15  # trace samples Fourier-transformed at a time
 
 
 @dataclass(frozen=True)

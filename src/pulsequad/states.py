@@ -53,7 +53,7 @@ DEFAULT_CUTOFF = 10  # Fock cutoff a state is sampled at unless one is given
 
 SAMPLE_GRID_HALFSPAN = 8.0
 SAMPLE_GRID_POINTS = 2**14  # a power of two: bisection steps 2**13 .. 1 reach every index
-SAMPLE_BLOCK_ENTRIES = 2**16  # samples x table columns inverted at a time: bounds temporaries
+SAMPLE_BLOCK_ENTRIES = 2**12  # samples x table columns inverted at a time: bounds temporaries
 
 
 @dataclass(frozen=True)
@@ -391,7 +391,8 @@ def sample_quadratures(
     def cdf(index, coef):
         return np.einsum("br,br->b", table.take(index, axis=0), coef)
 
-    rows = max(1, SAMPLE_BLOCK_ENTRIES // order.size)
+    # 64-row multiples: a gemv row outside a full kernel group sums in another order
+    rows = max(64, SAMPLE_BLOCK_ENTRIES // order.size // 64 * 64)
     values = np.empty(n)
     for start in range(0, n, rows):
         block = slice(start, start + rows)

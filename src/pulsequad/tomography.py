@@ -21,6 +21,7 @@ import numpy as np
 
 from .extraction import QuadratureBatch, write_csv
 from .states import (
+    SAMPLE_GRID_HALFSPAN,
     DensityMatrix,
     _harmonic_factors,
     _harmonic_layout,
@@ -46,6 +47,7 @@ _QUAD_WEIGHTS = np.array(
     [0.23692688505618928, 0.4786286704993663, 0.5688888888888887,
      0.4786286704993663, 0.23692688505618928]
 )
+_QUAD_PANEL = 0.3  # widest sub-interval of a bin one rule spans: a POVM to 2e-15 at cutoff 20
 
 
 @dataclass(frozen=True)
@@ -79,9 +81,13 @@ def _binned_cells(values, phases, bin_width):
 
 def _bin_operators(bin_lo: np.ndarray, bin_width: float, cutoff: int, eta: float):
     """POVM blocks: projector densities integrated over each quadrature bin,
-    pre-composed with the loss adjoint at detection efficiency ``eta``."""
-    xq = bin_lo[:, None] + (_QUAD_NODES[None, :] + 1.0) * (bin_width / 2.0)
-    wq = _QUAD_WEIGHTS * (bin_width / 2.0)
+    one rule per equal sub-interval of at most ``_QUAD_PANEL``, pre-composed
+    with the loss adjoint at detection efficiency ``eta``."""
+    panels = int(np.ceil(bin_width / _QUAD_PANEL))
+    h = bin_width / panels
+    nodes = np.arange(panels)[:, None] * h + (_QUAD_NODES + 1.0) * (h / 2.0)
+    xq = bin_lo[:, None] + nodes.ravel()
+    wq = np.tile(_QUAD_WEIGHTS * (h / 2.0), panels)
     psi = fock_wavefunctions(cutoff, xq.ravel()).reshape(cutoff, bin_lo.size, -1)
     return apply_loss_adjoint(np.einsum("mbq,nbq,q->bmn", psi, psi, wq), eta)
 
@@ -116,8 +122,8 @@ def mle_reconstruct(
         raise ValueError("reconstruction requires per-sample LO phases")
     if cutoff < 2:
         raise ValueError("cutoff must be at least 2")
-    if bin_width <= 0:
-        raise ValueError("bin_width must be positive")
+    if not 0 < bin_width <= 2 * SAMPLE_GRID_HALFSPAN:  # a bin costs a rule per 0.3 of it
+        raise ValueError(f"bin_width must lie in (0, {2 * SAMPLE_GRID_HALFSPAN:g}]")
     if not 0.0 < eta <= 1.0:
         raise ValueError("detection efficiency must lie in (0, 1]")
     if len(batch) == 0:

@@ -25,8 +25,9 @@ from pulsequad.characterization import (
     variance_vs_power,
 )
 from pulsequad.cli import (
+    ALLAN_RECORDS,
     SPECTRUM_PULSES,
-    _allan_curve,
+    _allan_record,
     _allan_tau_grid,
     _child_seed,
     _thinned_vacuum_blocks,
@@ -259,7 +260,7 @@ def test_allan_of_pure_drift_at_its_block_length(f_rep):
         fwhm_pulse=0.44 / f_rep,
         drift=DriftModel(linear_rate=1.0),
     )
-    curve = _allan_curve(det, 0)
+    curve = averaged_allan(_allan_record(det, 0, r) for r in range(ALLAN_RECORDS))
     k = int(np.argmin(np.abs(curve.taus - 1.0)))
     assert curve.deviations[k] == pytest.approx(curve.taus[k] / math.sqrt(2), rel=0.01)
 

@@ -1,13 +1,16 @@
 """Command-line front end: config validation, artifacts, reproducibility."""
 
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from dataclasses import fields
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -201,6 +204,7 @@ CONFIG_FAULTS = {
     "boolean n_pulses": {"n_pulses": True},
     "infinite bin_width": {"tomography": {"bin_width": math.inf}},
     "vanishing bin_width": {"tomography": {"bin_width": 1e-300}},
+    "bin_width wider than the sampling grid": {"tomography": {"bin_width": 50.0}},
     "characterize single pulse": {"run": "characterize", "n_pulses": 1},
     "fock above cutoff": {"state": {"kind": "fock", "n": 7}, "tomography": {"cutoff": 4}},
     "fock at cutoff": {"state": {"kind": "fock", "n": 4}, "tomography": {"cutoff": 4}},
@@ -294,11 +298,16 @@ CONFIG_DOCS = st.builds(
 )
 
 
+# one new file per example: truncating a file that holds data can take
+# 50-70 ms on ext4, where creating one takes about 0.01 ms
+FUZZ_FILE_NUMBERS = itertools.count()
+
+
 @settings(max_examples=300, deadline=None)
 @given(doc=CONFIG_DOCS | JSON_VALUES, subcommand=st.booleans())
 def test_load_config_raises_only_config_error(tmp_path_factory, doc, subcommand):
     run = doc.get("run") if subcommand and isinstance(doc, dict) else None
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path = tmp_path_factory.getbasetemp() / f"fuzz-{next(FUZZ_FILE_NUMBERS)}.json"
     path.write_text(json.dumps(doc))
     try:
         config = load_config(str(path), run=run)
@@ -575,6 +584,76 @@ class TestCharacterizeRun:
             outputs[pin] = read_all_outputs(out)
         assert len(outputs["pin"]) == 5
         assert outputs["pin"] == outputs["free"]
+
+
+class TestRecordQueue:
+    def test_results_come_back_in_list_order(self):
+        # the first record holds its thread until the second, taken by the
+        # other thread, has finished, so the records finish out of order
+        finished = []
+        second_done = threading.Event()
+
+        def first():
+            assert second_done.wait(30)
+            finished.append(0)
+            return "first"
+
+        def second():
+            finished.append(1)
+            second_done.set()
+            return "second"
+
+        def quick(i):
+            finished.append(i)
+            return i
+
+        records = [first, second, *(partial(quick, i) for i in range(2, 20))]
+        assert cli._run_records(records, range(20)) == ["first", "second", *range(2, 20)]
+        assert finished.index(0) > finished.index(1)
+
+    def test_records_are_taken_in_the_given_order(self):
+        # each record waits until the one before it in ``order`` has started;
+        # taken in any other order, both threads would wait and time out
+        order = [*range(19, 0, -2), *range(0, 20, 2)]
+        after = dict(zip(order[1:], order))
+        started = [threading.Event() for _ in order]
+
+        def record(i):
+            if i in after:
+                assert started[after[i]].wait(5), f"record {i} taken before {after[i]}"
+            started[i].set()
+            return i
+
+        assert cli._run_records([partial(record, i) for i in range(20)], order) == [*range(20)]
+
+    def test_failed_record_stops_the_queue_and_is_raised_once(self):
+        started = []
+        error = RuntimeError("record failed")
+        neighbour_started, raised = threading.Event(), threading.Event()
+
+        def fail():
+            started.append("fail")
+            assert neighbour_started.wait(30)
+            raised.set()
+            raise error
+
+        def neighbour():
+            started.append("neighbour")
+            neighbour_started.set()
+            assert raised.wait(30)
+            time.sleep(0.05)  # the failing thread records the failure meanwhile
+            return "neighbour"
+
+        def later(i):
+            started.append(i)
+            return i
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError) as caught:
+            cli._run_records([fail, neighbour, *(partial(later, i) for i in range(10))], range(12))
+        assert caught.value is error
+        assert sorted(started) == ["fail", "neighbour"]
+        assert threading.active_count() == threads
 
 
 # Pins itself to CPU 0 when asked, so both characterize lanes share one CPU.

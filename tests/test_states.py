@@ -1,6 +1,7 @@
 """Fock-basis state math: wavefunctions, densities, loss, Wigner functions."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -394,6 +395,41 @@ class TestSampleQuadratures:
         phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, distinct)
         sample_quadratures(StateModel.coherent(0.6 - 0.3j), phases, 1000, seed=8)
         assert len(calls) == 1
+
+    # at the largest size each call is one block; below it the blocks are
+    # whole groups of BLAS matrix-vector rows.  Blocks of 215 rows, 2**12
+    # entries over 19 columns unrounded, move 4 of these values by 2e-16
+    @pytest.mark.parametrize(
+        "state, phases",
+        [
+            (StateModel.vacuum(), [0.0]),
+            (
+                StateModel.coherent(1.5 + 1.0j),
+                np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 3001),
+            ),
+            (StateModel.fock(2, efficiency=0.7), np.linspace(0.0, 3.0, 3001)),
+        ],
+        ids=["vacuum", "coherent random phases", "lossy fock"],
+    )
+    def test_same_values_at_every_block_size(self, monkeypatch, state, phases):
+        values = []
+        for entries in (2**8, 2**10, 2**12, 2**14, 2**20):
+            monkeypatch.setattr(states, "SAMPLE_BLOCK_ENTRIES", entries)
+            values.append(sample_quadratures(state, phases, 3001, seed=10).values)
+        for v in values[:-1]:
+            assert np.array_equal(v, values[-1])
+
+    def test_vacuum_sampler_peak_memory(self):
+        # blocks of SAMPLE_BLOCK_ENTRIES bound the bisection temporaries: 1.45
+        # MiB at 2**12 entries; one block of all 40,000 samples peaks at 3.61 MiB
+        sample_quadratures(StateModel.vacuum(), [0.0], 10, seed=0)  # caches warm
+        tracemalloc.start()
+        try:
+            sample_quadratures(StateModel.vacuum(), [0.0], 40_000, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
 
 
 def full_cutoff_harmonics(rho, grid):

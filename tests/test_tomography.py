@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import ks_2samp
 
+from pulsequad.cli import TomographyOptions
 from pulsequad.extraction import QuadratureBatch
 from pulsequad.states import (
+    SAMPLE_GRID_HALFSPAN,
     StateModel,
     WignerGrid,
     coherent_amplitudes,
@@ -155,6 +159,8 @@ class TestMleReconstruct:
             mle_reconstruct(batch, 1)
         with pytest.raises(ValueError):
             mle_reconstruct(batch, 4, bin_width=0.0)
+        with pytest.raises(ValueError, match="bin_width"):
+            mle_reconstruct(batch, 4, bin_width=50.0)
         with pytest.raises(ValueError):
             mle_reconstruct(batch, 4, eta=0.0)
 
@@ -240,6 +246,21 @@ def test_quadrature_rule_is_leggauss_5():
     nodes, weights = np.polynomial.legendre.leggauss(5)
     assert np.array_equal(_QUAD_NODES, nodes)
     assert np.array_equal(_QUAD_WEIGHTS, weights)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoff=st.integers(2, 20), bin_width=st.floats(0.01, 2.0 * SAMPLE_GRID_HALFSPAN))
+def test_bin_operators_form_a_povm(cutoff, bin_width):
+    # bins of an accepted width tiling [-13, 13], past which no wavefunction
+    # below cutoff 20 has weight; one 5-point rule over a bin of width 1 is
+    # 1.6e-5 from the identity at cutoff 10, and over width 50 has <n|O|n> 1.9
+    TomographyOptions(cutoff=cutoff, bin_width=bin_width)
+    bin_lo = np.arange(math.floor(-13.0 / bin_width), math.ceil(13.0 / bin_width)) * bin_width
+    ops = _bin_operators(bin_lo, bin_width, cutoff, 1.0)
+    eigenvalues = np.linalg.eigvalsh(ops)
+    assert eigenvalues.min() >= -1e-12
+    assert eigenvalues.max() <= 1.0 + 1e-12
+    assert np.max(np.abs(ops.sum(axis=0) - np.eye(cutoff))) <= 1e-9
 
 
 AXIS_VALUES = [-0.0, 1e-300, 1 / 3, 2.0**60, -5.0, 0.1 + 0.2]
