@@ -82,25 +82,28 @@ class DetectorReport:
     """Aggregated detector figures of merit.
 
     ``cc`` holds ``(m, value, std)`` triples; ``tbp`` must equal
-    ``bandwidth_hz * stability_interval_s``.
+    ``bandwidth_hz * stability_interval_s``, and both are None when the
+    spectrum shows no -3 dB crossing.
     """
 
     snr_db: float | None
     eta_en: float
     eta_pd: float
     eta_bhd: float
-    bandwidth_hz: float
+    bandwidth_hz: float | None
     cc: tuple
     cmrr_db: float
     stability_interval_s: float
-    tbp: float
+    tbp: float | None
 
     def __post_init__(self):
         for name in ("eta_en", "eta_pd", "eta_bhd"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        target = self.bandwidth_hz * self.stability_interval_s
-        if not np.isclose(self.tbp, target, rtol=1e-12):
+        if self.bandwidth_hz is None:
+            if self.tbp is not None:
+                raise ValueError("tbp must be None when bandwidth_hz is")
+        elif not np.isclose(self.tbp, self.bandwidth_hz * self.stability_interval_s, rtol=1e-12):
             raise ValueError("tbp must equal bandwidth_hz * stability_interval_s")
 
     def to_json_dict(self) -> dict:
@@ -334,11 +337,14 @@ def _require_common_grid(a: SpectrumEstimate, b: SpectrumEstimate):
         raise ValueError("spectra must share a common frequency grid")
 
 
-def bandwidth_minus3db(shot: SpectrumEstimate, elec: SpectrumEstimate) -> float:
+def bandwidth_minus3db(shot: SpectrumEstimate, elec: SpectrumEstimate) -> float | None:
     """Frequency where the electronic-noise-subtracted shot PSD drops 3 dB.
 
     The reference plateau is the mean over the lowest decade of bins above
-    DC; the crossing is linearly interpolated between bins.
+    DC; the crossing is linearly interpolated between bins.  None when the
+    grid holds no crossing: a spectrum flat to Nyquist (a pulse shorter than
+    a sample), or one already below the threshold in its first bin above DC
+    (a low-frequency drift lifting the plateau).
     """
     _require_common_grid(shot, elec)
     sub = shot.psd - elec.psd
@@ -349,7 +355,7 @@ def bandwidth_minus3db(shot: SpectrumEstimate, elec: SpectrumEstimate) -> float:
     threshold = plateau * 10 ** (-0.3)
     below = np.flatnonzero(sub[1:] < threshold) + 1
     if below.size == 0 or below[0] == 1:
-        raise ValueError("no -3 dB crossing found within the grid")
+        return None
     k = below[0]
     frac = (threshold - sub[k - 1]) / (sub[k] - sub[k - 1])
     return float(f[k - 1] + frac * (f[k] - f[k - 1]))

@@ -13,13 +13,18 @@ density (Lvovsky & Raymer, RMP 81, 299 (2009), Sec. IV):
 ``Q_d(x) = sum_m rho_{m,m+d} psi_m(x) psi_{m+d}(x)``, ``w_0 = 1`` and
 ``w_d = 2``.  The trapezoid CDF is linear in the density, so one table of
 cumulative harmonics serves every phase, and each sample costs
-O(dim log G) for a grid of G points.
+O(R log G) for R harmonic columns on a grid of G points.  A phase-free
+table (diagonal ``rho``: vacuum, Fock, lossy Fock and their mixtures) has
+one column, which is inverted through a guide table over its range (Chen &
+Asau, AIIE Trans. 6, 163 (1974)) in O(1) expected time per sample and kept
+for the next call with the same state and cutoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -54,6 +59,13 @@ DEFAULT_CUTOFF = 10  # Fock cutoff a state is sampled at unless one is given
 SAMPLE_GRID_HALFSPAN = 8.0
 SAMPLE_GRID_POINTS = 2**14  # a power of two: bisection steps 2**13 .. 1 reach every index
 SAMPLE_BLOCK_ENTRIES = 2**12  # samples x table columns inverted at a time: bounds temporaries
+SAMPLE_GUIDE_BUCKETS = 2**14  # guide entries over the range of a phase-free CDF
+SAMPLE_GUIDE_STEPS = 2  # steps forward from a guide entry before searchsorted takes over
+
+# (state, cutoff) -> read-only (column, guide) of a phase-free sampler table;
+# emptied when full.  Threads that build the same entry build identical ones.
+_PHASE_FREE_TABLES: dict = {}
+_PHASE_FREE_LIMIT = 8
 
 
 @dataclass(frozen=True)
@@ -128,6 +140,9 @@ class StateModel:
                 raise ValueError("mixture needs matching weights and components")
             if np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-9:
                 raise ValueError("mixture weights must be nonnegative and sum to one")
+        # tuples keep a state hashable: the sampler keys its tables on it
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "components", tuple(self.components))
 
     @classmethod
     def vacuum(cls) -> "StateModel":
@@ -358,6 +373,64 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     return table, order[keep], shift[keep]
 
 
+def _bisect(cdf, target, last: int) -> np.ndarray:
+    """Grid index ``pos <= last - 1`` with ``cdf(pos) <= target < cdf(pos + 1)``.
+
+    ``cdf(index)`` evaluates the cumulative density at grid indices, with
+    ``cdf(0) = 0``; each of the ``log2(last + 1)`` steps halves the bracket.
+    """
+    pos = np.zeros(target.size, dtype=np.intp)
+    for k in reversed(range(last.bit_length())):
+        pos += (cdf(pos + 2**k) <= target) * 2**k
+    return np.minimum(pos, last - 1)  # u * total can round up to total
+
+
+def _table_cdf(table: np.ndarray, coef: np.ndarray, index) -> np.ndarray:
+    """Cumulative density at grid ``index``, one row of ``coef`` per sample."""
+    return np.einsum("br,br->b", table.take(index, axis=0), coef)
+
+
+def _phase_free_entry(column: np.ndarray):
+    """Read-only ``(column, guide)`` for the one column of a phase-free table.
+
+    ``guide[j]`` is the index :func:`_bisect` finds at the lower edge of
+    bucket ``j`` of ``SAMPLE_GUIDE_BUCKETS`` equal parts of
+    ``[0, column[-1]]``, at most ``last - 1 - SAMPLE_GUIDE_STEPS`` so that
+    ``pos + 1`` stays on the grid after every step.  ``guide`` is None unless
+    the column is nondecreasing: only then is :func:`_guided_index` exact.
+    """
+    column.setflags(write=False)
+    if np.any(column[1:] < column[:-1]):
+        return column, None
+    last = column.size - 1
+    edges = np.arange(SAMPLE_GUIDE_BUCKETS + 1) * (column[last] / SAMPLE_GUIDE_BUCKETS)
+    guide = np.searchsorted(column, edges, "right") - 1
+    guide = np.clip(guide, 0, last - 1 - SAMPLE_GUIDE_STEPS).astype(np.min_scalar_type(last))
+    guide.setflags(write=False)
+    return column, guide
+
+
+def _guided_index(column: np.ndarray, guide: np.ndarray, target) -> np.ndarray:
+    """:func:`_bisect`'s index into a nondecreasing ``column`` for each target.
+
+    A target starts at the guide entry of its bucket and steps forward up to
+    ``SAMPLE_GUIDE_STEPS`` times.  On a nondecreasing column only the
+    bisection's index passes the check ``column[pos] <= target <
+    column[pos + 1]``.  The few targets that fail it, in tail buckets that
+    span many grid steps, take ``searchsorted``, which on such a column
+    returns the same index in one call.
+    """
+    following = column[1:]  # following[pos] is column[pos + 1]
+    pos = guide.take((target * ((guide.size - 1) / column[-1])).astype(np.intp)).astype(np.intp)
+    for _ in range(SAMPLE_GUIDE_STEPS):
+        pos += following.take(pos) <= target
+    miss = np.flatnonzero((column.take(pos) > target) | (following.take(pos) <= target))
+    if miss.size:
+        found = np.searchsorted(column, target[miss], "right") - 1
+        pos[miss] = np.minimum(found, column.size - 2)  # as _bisect clamps
+    return pos
+
+
 def sample_quadratures(
     state: StateModel, phases, n: int, seed: int, cutoff: int = DEFAULT_CUTOFF
 ) -> QuadratureBatch:
@@ -365,11 +438,14 @@ def sample_quadratures(
 
     The schedule must have length 1 (applied to every pulse) or ``n``.
     Each value inverts the trapezoid CDF of ``p(x|theta)`` on a grid
-    spanning ``[-8, 8]`` with 2**14 points: bisection over the grid index
+    spanning ``[-8, 8]`` with 2**14 points: a search over the grid index
     of the cumulative harmonic table, then linear interpolation inside the
-    bracket.  The table is built once per call, so a sample costs
-    O(R log G) for R harmonic columns whatever the number of distinct
-    phases; a given seed reproduces the batch exactly.
+    bracket.  The table is built once per call and bisected, so a sample
+    costs O(R log G) for R harmonic columns whatever the number of distinct
+    phases.  A phase-free table (diagonal ``rho``) is one column that every
+    phase shares: it is built once per process for each ``(state, cutoff)``
+    and searched through a guide table, O(1) expected per sample, with the
+    bisection's exact indices.  A given seed reproduces the batch exactly.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
@@ -381,30 +457,37 @@ def sample_quadratures(
     if not np.all(np.isfinite(phases)):
         raise ValueError("phases must be finite")
 
-    rho = state_density_matrix(state, cutoff)
+    grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_POINTS)
+    last = grid.size - 1
+    column, guide = _PHASE_FREE_TABLES.get((state, cutoff), (None, None))
+    if column is None:
+        table, order, shift = _cumulative_harmonics(state_density_matrix(state, cutoff), grid)
+        if order.size == 1:  # phase-free: column 0 at cos(0 * theta) = 1 for every phase
+            column, guide = _phase_free_entry(table[:, 0])
+            if len(_PHASE_FREE_TABLES) >= _PHASE_FREE_LIMIT:
+                _PHASE_FREE_TABLES.clear()
+            _PHASE_FREE_TABLES[state, cutoff] = column, guide
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed])))
     u = rng.random(n)
-    grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_POINTS)
-    table, order, shift = _cumulative_harmonics(rho, grid)
-    last = grid.size - 1
-
-    def cdf(index, coef):
-        return np.einsum("br,br->b", table.take(index, axis=0), coef)
 
     # 64-row multiples: a gemv row outside a full kernel group sums in another order
-    rows = max(64, SAMPLE_BLOCK_ENTRIES // order.size // 64 * 64)
+    columns = 1 if column is not None else order.size
+    rows = max(64, SAMPLE_BLOCK_ENTRIES // columns // 64 * 64)
     values = np.empty(n)
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        coef = _harmonic_factors(phases[block], order, shift)
-        target = u[block] * (coef @ table[last])
-        # ends with cdf(pos) <= target < cdf(pos + 1), since cdf(0) = 0
-        pos = np.zeros(target.size, dtype=np.intp)
-        for k in reversed(range(last.bit_length())):
-            pos += (cdf(pos + 2**k, coef) <= target) * 2**k
-        pos = np.minimum(pos, last - 1)  # u * total can round up to total
-        f_lo = cdf(pos, coef)
-        slope = (grid[pos + 1] - grid[pos]) / (cdf(pos + 1, coef) - f_lo)
+        if column is not None:
+            cdf, target = column.take, u[block] * column[last]
+        else:
+            coef = _harmonic_factors(phases[block], order, shift)
+            cdf = partial(_table_cdf, table, coef)
+            target = u[block] * (coef @ table[last])
+        if guide is None:
+            pos = _bisect(cdf, target, last)
+        else:
+            pos = _guided_index(column, guide, target)
+        f_lo = cdf(pos)
+        slope = (grid[pos + 1] - grid[pos]) / (cdf(pos + 1) - f_lo)
         values[block] = slope * (target - f_lo) + grid[pos]
     return QuadratureBatch(values=values, phases=phases)
 

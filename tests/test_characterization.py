@@ -448,8 +448,7 @@ class TestBandwidth:
 
     def test_flat_spectrum_has_no_crossing(self):
         freqs = np.linspace(0, 1e9, 513)
-        with pytest.raises(ValueError):
-            bandwidth_minus3db(self.flat(1.0, freqs), self.flat(0.0, freqs))
+        assert bandwidth_minus3db(self.flat(1.0, freqs), self.flat(0.0, freqs)) is None
 
     def test_known_rolloff(self):
         freqs = np.linspace(0, 1e9, 4097)
@@ -548,6 +547,9 @@ class TestReport:
     def test_tbp_consistency_enforced(self):
         with pytest.raises(ValueError):
             self.make_report(tbp=1.0)
+        with pytest.raises(ValueError):
+            self.make_report(bandwidth_hz=None)
+        assert self.make_report(bandwidth_hz=None, tbp=None).to_json_dict()["tbp"] is None
 
     def test_eta_range_enforced(self):
         with pytest.raises(ValueError):

@@ -586,6 +586,59 @@ class TestCharacterizeRun:
         assert outputs["pin"] == outputs["free"]
 
 
+# accepted characterize configs that once exited 3 with "no -3 dB crossing
+# found within the grid": a pulse shorter than one sample leaves the shot
+# spectrum flat to Nyquist, and a steep drift lifts its plateau
+CHARACTERIZE_PROBES = {
+    "fwhm 1 ps rectangular": ({"fwhm_pulse": 1e-12}, 1),
+    "fwhm 1 ps gaussian": ({"fwhm_pulse": 1e-12, "pulse_shape": "gaussian"}, 1),
+    "f_rep 1 kHz at 100 kHz sampling": ({"f_rep": 1e3, "sample_rate": 1e5}, 0),
+    "drift 1e6 per s": ({"drift": {"linear_rate": 1e6}}, 1),
+    "fwhm 1 ms": ({"fwhm_pulse": 1e-3}, 1),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(CHARACTERIZE_PROBES))
+def test_characterize_probe_answers_or_exits_2(tmp_path, capsys, probe):
+    detector, seed = CHARACTERIZE_PROBES[probe]
+    out = tmp_path / "out"
+    doc = {"run": "characterize", "n_pulses": 4000, "seed": seed, "out_dir": str(out),
+           "detector": detector}
+    code = main(["characterize", "--config", write_config(tmp_path, doc)])
+    assert code in (0, 2), capsys.readouterr().err
+    if code == 0:
+        report = json.loads((out / "report.json").read_text())
+        numbers = [v for k, v in report.items() if k != "cc"]
+        numbers += [v for row in report["cc"] for v in row.values()]
+        assert all(v is None or math.isfinite(v) for v in numbers)
+        assert (report["bandwidth_hz"] is None) == (report["tbp"] is None)
+
+
+class TestRerunIntoOutDir:
+    def test_rerun_writes_same_bytes_and_no_tmp(self, tmp_path):
+        out = tmp_path / "out"
+        doc = {"run": "characterize", "n_pulses": 1000, "seed": 4, "out_dir": str(out)}
+        path = write_config(tmp_path, doc)
+        assert main(["characterize", "--config", path]) == 0
+        first = read_all_outputs(out)
+        assert main(["characterize", "--config", path]) == 0
+        assert read_all_outputs(out) == first
+        assert sorted(first) == sorted(os.listdir(out))  # no .tmp left
+
+    def test_failing_writer_keeps_the_previous_artifact(self, tmp_path):
+        def write(text, path):
+            with open(path, "w") as fh:
+                fh.write(text)
+            if text == "second":
+                raise RuntimeError("writer failed")
+
+        cli._atomic(str(tmp_path), "a.txt", write, "first")
+        with pytest.raises(RuntimeError, match="writer failed"):
+            cli._atomic(str(tmp_path), "a.txt", write, "second")
+        assert (tmp_path / "a.txt").read_text() == "first"
+        assert os.listdir(tmp_path) == ["a.txt"]
+
+
 class TestRecordQueue:
     def test_results_come_back_in_list_order(self):
         # the first record holds its thread until the second, taken by the

@@ -30,6 +30,15 @@ from pulsequad.states import (
 )
 
 
+@pytest.fixture(autouse=True)
+def cold_sampler():
+    """Start and end each test with no phase-free sampler table kept, so a
+    test that counts or patches the table build sees it run."""
+    states._PHASE_FREE_TABLES.clear()
+    yield
+    states._PHASE_FREE_TABLES.clear()
+
+
 def random_density_matrix(dim, seed):
     """Ginibre-random full-rank density matrix."""
     rng = np.random.default_rng(seed)
@@ -476,6 +485,7 @@ class TestSupportTrimmedTable:
         phases = np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 3000)
         trimmed = sample_quadratures(state, phases, phases.size, seed=10, cutoff=cutoff)
         monkeypatch.setattr(states, "_cumulative_harmonics", full_cutoff_harmonics)
+        states._PHASE_FREE_TABLES.clear()  # or a phase-free state reuses the trimmed table
         full = sample_quadratures(state, phases, phases.size, seed=10, cutoff=cutoff)
         assert np.array_equal(trimmed.values, full.values)
 
@@ -508,3 +518,113 @@ class TestSupportTrimmedTable:
         monkeypatch.setattr(states, "fock_wavefunctions", counting)
         sample_quadratures(state, [0.0, 1.0], 2, seed=11, cutoff=cutoff)
         assert calls == [levels]
+
+    @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
+    def test_phase_free_table_built_once(self, monkeypatch, case):
+        # a diagonal rho gives one column, kept read-only for the next call;
+        # a table with phase harmonics is built again by every call
+        state, cutoff, levels = TRIMMED_STATES[case]
+        calls = []
+        original = states.fock_wavefunctions
+
+        def counting(n_levels, x):
+            calls.append(n_levels)
+            return original(n_levels, x)
+
+        monkeypatch.setattr(states, "fock_wavefunctions", counting)
+        first = sample_quadratures(state, [0.0], 500, seed=12, cutoff=cutoff)
+        second = sample_quadratures(state, [0.0], 500, seed=12, cutoff=cutoff)
+        assert np.array_equal(first.values, second.values)
+        kept = states._PHASE_FREE_TABLES.get((state, cutoff))
+        if case == "complex coherent":
+            assert calls == [levels, levels] and kept is None
+        else:
+            assert calls == [levels]
+            assert not any(array.flags.writeable for array in kept)
+
+
+def bisected_samples(state, n, seed, cutoff):
+    """Phase-free samples inverted by bisection alone, as before the guide."""
+    rho = state_density_matrix(state, cutoff)
+    grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_POINTS)
+    table, order, _ = states._cumulative_harmonics(rho, grid)
+    assert order.size == 1
+    column = table[:, 0]
+    u = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed]))).random(n)
+    target = u * column[-1]
+    pos = states._bisect(column.take, target, grid.size - 1)
+    f_lo = column[pos]
+    slope = (grid[pos + 1] - grid[pos]) / (column[pos + 1] - f_lo)
+    return slope * (target - f_lo) + grid[pos]
+
+
+LOSSY_FOCK = st.builds(
+    StateModel.fock, st.integers(0, 6), st.floats(0.01, 1.0, allow_subnormal=False)
+)
+PHASE_FREE_STATES = st.one_of(
+    st.just(StateModel.vacuum()),
+    LOSSY_FOCK,
+    st.lists(LOSSY_FOCK, min_size=2, max_size=4).flatmap(
+        lambda parts: st.lists(
+            st.floats(0.05, 1.0), min_size=len(parts), max_size=len(parts)
+        ).map(lambda w: StateModel.mixture(np.divide(w, sum(w)), parts))
+    ),
+)
+
+
+class TestGuidedInversion:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        state=PHASE_FREE_STATES,
+        blocks=st.integers(1, 2),
+        edge=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+        phase=st.floats(-10.0, 10.0),
+    )
+    def test_bit_identical_to_bisection(self, state, blocks, edge, seed, phase):
+        # sample counts straddle the edges of the SAMPLE_BLOCK_ENTRIES blocks
+        states._PHASE_FREE_TABLES.clear()
+        n = blocks * states.SAMPLE_BLOCK_ENTRIES + edge
+        got = sample_quadratures(state, [phase], n, seed=seed, cutoff=8).values
+        assert states._PHASE_FREE_TABLES[state, 8][1] is not None  # the guide was used
+        assert np.array_equal(got, bisected_samples(state, n, seed, 8))
+
+    @pytest.mark.parametrize(
+        "state", [StateModel.vacuum(), StateModel.fock(6, efficiency=0.37)], ids=["vacuum", "fock"]
+    )
+    def test_largest_uniform(self, monkeypatch, state):
+        class TopGenerator:
+            """Draws the largest value ``Generator.random`` can return."""
+
+            def __init__(self, bit_generator):
+                pass
+
+            def random(self, n):
+                return np.full(n, 1.0 - 2.0**-53)
+
+        monkeypatch.setattr(np.random, "Generator", TopGenerator)
+        got = sample_quadratures(state, [0.0], 3, seed=0).values
+        want = bisected_samples(state, 3, 0, 10)
+        assert np.array_equal(got, want)
+        assert np.all(np.isfinite(got)) and np.all(got <= SAMPLE_GRID_HALFSPAN)
+
+    def test_target_at_the_total_is_clamped(self):
+        # u * total cannot reach total for u < 1, but a per-phase cdf(last)
+        # summed in another order can fall below the target: both searches
+        # end in the last bracket
+        sample_quadratures(StateModel.vacuum(), [0.0], 1, seed=0)
+        column, guide = states._PHASE_FREE_TABLES[StateModel.vacuum(), 10]
+        last = column.size - 1
+        target = np.array([column[-1], np.nextafter(column[-1], 2.0)])
+        assert list(states._bisect(column.take, target, last)) == [last - 1] * 2
+        assert list(states._guided_index(column, guide, target[:1])) == [last - 1]
+
+    def test_state_built_from_lists_is_a_table_key(self):
+        state = StateModel(kind="mixture", weights=[1.0], components=[StateModel.fock(1)])
+        assert state == StateModel.mixture([1.0], [StateModel.fock(1)])
+        assert sample_quadratures(state, [0.0], 5, seed=1).values.shape == (5,)
+        assert (state, 10) in states._PHASE_FREE_TABLES
+
+    def test_decreasing_column_keeps_the_bisection(self):
+        column, guide = states._phase_free_entry(np.array([0.0, 0.5, 0.4, 1.0]))
+        assert guide is None and not column.flags.writeable
