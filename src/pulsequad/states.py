@@ -41,7 +41,6 @@ __all__ = [
     "pure_state_vector",
     "quadrature_pdf",
     "sample_quadratures",
-    "loss_kraus",
     "loss_channel",
     "apply_loss_adjoint",
     "state_density_matrix",
@@ -249,33 +248,33 @@ def quadrature_pdf(rho: DensityMatrix, theta: float, x):
     return float(p[0]) if scalar else p
 
 
-def loss_kraus(dim: int, eta: float) -> np.ndarray:
-    """Kraus operators of the photon-loss (Bernoulli) channel at ``dim``.
-
-    ``K[k]`` maps ``|n>`` to ``sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k>``.
-    """
+def _loss_amplitudes(dim: int, eta: float) -> np.ndarray:
+    """``b[k, m] = sqrt(C(m+k, k) eta^m (1-eta)^k)``, the amplitude with which loss
+    at transmissivity ``eta`` takes ``|m+k>`` to ``|m>``; 0 for ``m + k >= dim``."""
     if not 0.0 <= eta <= 1.0:
         raise ValueError("eta must lie in [0, 1]")
-    ks = np.zeros((dim, dim, dim))
+    b = np.zeros((dim, dim))
     for k in range(dim):
-        for n in range(k, dim):
-            ks[k, n - k, n] = math.sqrt(
-                math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k
-            )
-    return ks
+        for m in range(dim - k):
+            b[k, m] = math.sqrt(math.comb(m + k, k) * eta**m * (1.0 - eta) ** k)
+    return b
 
 
 def loss_channel(rho: DensityMatrix, eta: float) -> DensityMatrix:
-    """Transmit ``rho`` through a beamsplitter of transmissivity ``eta``."""
+    """Transmit ``rho`` through a beamsplitter of transmissivity ``eta``:
+    ``out[m, n] = sum_k b[k, m] rho[m+k, n+k] b[k, n]``, one band per lost ``k``."""
     if eta == 1.0:
         return rho
-    ks = loss_kraus(rho.dim, eta)
-    out = np.einsum("kmi,ij,knj->mn", ks, rho.elements, ks)
+    d, b = rho.dim, _loss_amplitudes(rho.dim, eta)
+    out = np.zeros_like(rho.elements)
+    for k in range(d):
+        out[: d - k, : d - k] += (b[k, : d - k, None] * rho.elements[k:, k:]) * b[k, : d - k]
     return DensityMatrix.from_array(out)
 
 
 def apply_loss_adjoint(op: np.ndarray, eta: float) -> np.ndarray:
-    """Heisenberg-picture loss map ``sum_k K_k^T op K_k`` on an observable.
+    """Heisenberg-picture loss map on an observable, with :func:`loss_channel`'s
+    ``b``: ``out[m+k, n+k] = sum_k b[k, m] op[m, n] b[k, n]``.
 
     Composing a measurement operator with this map models detection at
     efficiency ``eta``: ``tr(loss(rho) op) == tr(rho adjoint(op))``.
@@ -283,10 +282,13 @@ def apply_loss_adjoint(op: np.ndarray, eta: float) -> np.ndarray:
     ``dim x dim`` block is mapped on its own.
     """
     op = np.asarray(op)
-    if eta == 1.0:
+    if eta == 1.0:  # the loop gives these values C-ordered, and the MLE's BLAS rounds by layout
         return op
-    ks = loss_kraus(op.shape[-1], eta)
-    return np.einsum("kim,...ij,kjn->...mn", ks, op, ks)
+    d, b = op.shape[-1], _loss_amplitudes(op.shape[-1], eta)
+    out = np.zeros(op.shape, dtype=np.result_type(op, b))
+    for k in range(d):
+        out[..., k:, k:] += (b[k, : d - k, None] * op[..., : d - k, : d - k]) * b[k, : d - k]
+    return out
 
 
 def pure_state_vector(state: StateModel, cutoff: int) -> np.ndarray | None:
@@ -316,9 +318,7 @@ def _bare_density_matrix(state: StateModel, cutoff: int) -> np.ndarray:
 def state_density_matrix(state: StateModel, cutoff: int) -> DensityMatrix:
     """Realize ``state`` at the given Fock cutoff, loss channel included."""
     rho = DensityMatrix.from_array(_bare_density_matrix(state, cutoff))
-    if state.efficiency < 1.0:
-        rho = loss_channel(rho, state.efficiency)
-    return rho
+    return loss_channel(rho, state.efficiency)
 
 
 def _harmonic_layout(dim: int):
