@@ -89,6 +89,8 @@ class DetectorConfig:
         for name in ("f_rep", "wavelength", "p_lo", "gain", "fwhm_pulse", "sample_rate"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be strictly positive and finite")
+        if self.fwhm_pulse * self.f_rep >= 1.0:
+            raise ValueError("fwhm_pulse must be shorter than the pulse period 1 / f_rep")
         if not 0.0 <= self.eta_pd <= 1.0:
             raise ValueError("eta_pd must lie in [0, 1]")
         if self.pulse_shape not in PULSE_SHAPES:

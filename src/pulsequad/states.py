@@ -131,8 +131,10 @@ class StateModel:
             raise ValueError("efficiency must lie in [0, 1]")
         if not np.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if self.kind == "fock" and (self.n < 0 or self.n != int(self.n)):
-            raise ValueError("fock photon number must be a nonnegative integer")
+        if self.kind == "fock":
+            if not (0 <= self.n < math.inf and self.n == int(self.n)):
+                raise ValueError("fock photon number must be a nonnegative integer")
+            object.__setattr__(self, "n", int(self.n))  # an index into the number basis
         if self.kind == "mixture":
             w = np.asarray(self.weights, dtype=float)
             if len(self.components) != w.size or w.size == 0:
@@ -153,7 +155,7 @@ class StateModel:
 
     @classmethod
     def fock(cls, n: int, efficiency: float = 1.0) -> "StateModel":
-        return cls(kind="fock", n=int(n), efficiency=efficiency)
+        return cls(kind="fock", n=n, efficiency=efficiency)
 
     @classmethod
     def mixture(cls, weights, components, efficiency: float = 1.0) -> "StateModel":

@@ -17,6 +17,7 @@ from pulsequad.states import (
     SAMPLE_GRID_POINTS,
     DensityMatrix,
     StateModel,
+    apply_loss_adjoint,
     coherent_amplitudes,
     fidelity_pure,
     fock_wavefunction,
@@ -151,6 +152,61 @@ class TestLossChannel:
     def test_trace_preserved(self):
         rho = loss_channel(random_density_matrix(8, 7), 0.37)
         assert rho.elements.trace().real == pytest.approx(1.0, abs=1e-10)
+
+
+def loss_kraus(dim, eta):
+    """Kraus operators of photon loss: ``K[k]`` maps ``|n>`` to
+    ``sqrt(C(n,k) eta^(n-k) (1-eta)^k) |n-k>``."""
+    ks = np.zeros((dim, dim, dim))
+    for k in range(dim):
+        for n in range(k, dim):
+            ks[k, n - k, n] = math.sqrt(math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k)
+    return ks
+
+
+class TestLossAgainstKrausSums:
+    """Both banded loss maps against ``sum_k K_k rho K_k^T`` and
+    ``sum_k K_k^T op K_k``, summed by ``np.einsum`` over the dense Kraus tensor."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 20),
+        eta=st.floats(0.0, 1.0),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        scale=st.sampled_from([1e-200, 1.0, 1e200]),
+        is_complex=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_maps_equal_kraus_sums_bit_for_bit(self, dim, eta, lead, scale, is_complex, seed):
+        ks = loss_kraus(dim, eta)
+        rho = random_density_matrix(dim, seed)
+        expected = np.einsum("kmi,ij,knj->mn", ks, rho.elements, ks)
+        if eta < 1.0:  # at 1.0 the map returns rho itself, not re-hermitized
+            expected = DensityMatrix.from_array(expected).elements
+        assert np.array_equal(loss_channel(rho, eta).elements, expected)
+
+        rng = np.random.default_rng(seed)
+        op = rng.normal(size=(*lead, dim, dim)) * scale
+        if is_complex:
+            op = op + 1j * scale * rng.normal(size=op.shape)
+        expected = np.einsum("kim,...ij,kjn->...mn", ks, op, ks)
+        mapped = apply_loss_adjoint(op, eta)
+        assert mapped.dtype == expected.dtype and np.array_equal(mapped, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        dim=st.integers(1, 20),
+        eta=st.floats(0.0, 1.0),
+        lead=st.lists(st.integers(1, 3), max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_is_dual_to_the_channel(self, dim, eta, lead, seed):
+        rho = random_density_matrix(dim, seed)
+        rng = np.random.default_rng(seed)
+        op = rng.normal(size=(*lead, dim, dim)) + 1j * rng.normal(size=(*lead, dim, dim))
+        forward = np.einsum("mn,...nm->...", loss_channel(rho, eta).elements, op)
+        backward = np.einsum("mn,...nm->...", rho.elements, apply_loss_adjoint(op, eta))
+        assert np.max(np.abs(forward - backward), initial=0.0) <= 1e-12
 
 
 class TestWigner:
@@ -296,6 +352,22 @@ class TestValidation:
     def test_fock_above_cutoff_rejected(self):
         with pytest.raises(ValueError):
             state_density_matrix(StateModel.fock(5), 4)
+
+    def test_integral_float_fock_number_samples_as_int(self):
+        state = StateModel(kind="fock", n=2.0)
+        assert type(state.n) is int and state == StateModel.fock(2)
+        phases = np.linspace(0.0, 3.0, 50)
+        assert np.array_equal(
+            sample_quadratures(state, phases, 50, seed=3).values,
+            sample_quadratures(StateModel.fock(2), phases, 50, seed=3).values,
+        )
+
+    @pytest.mark.parametrize("n", [2.5, math.inf, math.nan, -1])
+    def test_non_integral_fock_number_rejected(self, n):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            StateModel(kind="fock", n=n)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            StateModel.fock(n)
 
     def test_mixture_realization(self):
         state = StateModel.mixture(

@@ -249,14 +249,19 @@ def test_quadrature_rule_is_leggauss_5():
 
 
 @settings(max_examples=60, deadline=None)
-@given(cutoff=st.integers(2, 20), bin_width=st.floats(0.01, 2.0 * SAMPLE_GRID_HALFSPAN))
-def test_bin_operators_form_a_povm(cutoff, bin_width):
+@given(
+    cutoff=st.integers(2, 20),
+    bin_width=st.floats(0.01, 2.0 * SAMPLE_GRID_HALFSPAN),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_bin_operators_form_a_povm(cutoff, bin_width, eta):
     # bins of an accepted width tiling [-13, 13], past which no wavefunction
     # below cutoff 20 has weight; one 5-point rule over a bin of width 1 is
-    # 1.6e-5 from the identity at cutoff 10, and over width 50 has <n|O|n> 1.9
-    TomographyOptions(cutoff=cutoff, bin_width=bin_width)
+    # 1.6e-5 from the identity at cutoff 10, and over width 50 has <n|O|n> 1.9.
+    # The loss adjoint is unital and positive, so a lossy POVM is one too
+    TomographyOptions(cutoff=cutoff, bin_width=bin_width, eta=eta)
     bin_lo = np.arange(math.floor(-13.0 / bin_width), math.ceil(13.0 / bin_width)) * bin_width
-    ops = _bin_operators(bin_lo, bin_width, cutoff, 1.0)
+    ops = _bin_operators(bin_lo, bin_width, cutoff, eta)
     eigenvalues = np.linalg.eigvalsh(ops)
     assert eigenvalues.min() >= -1e-12
     assert eigenvalues.max() <= 1.0 + 1e-12
