@@ -284,7 +284,9 @@ def apply_loss_adjoint(op: np.ndarray, eta: float) -> np.ndarray:
     ``dim x dim`` block is mapped on its own.
     """
     op = np.asarray(op)
-    if eta == 1.0:  # the loop gives these values C-ordered, and the MLE's BLAS rounds by layout
+    # the loop gives equal values at 1.0 but C-ordered, not in op's layout,
+    # and the MLE's BLAS products round differently on them
+    if eta == 1.0:
         return op
     d, b = op.shape[-1], _loss_amplitudes(op.shape[-1], eta)
     out = np.zeros(op.shape, dtype=np.result_type(op, b))
