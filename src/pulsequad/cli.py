@@ -553,6 +553,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
         "iterations": int(result.iterations),
         "converged": bool(result.converged),
         "final_log_likelihood": float(result.history[-1]),
+        "gap_bound": result.gap_bound,
     }
     _atomic(out, "rho.csv", write_density_matrix_csv, rho)
     _atomic(out, "wigner.csv", write_wigner_csv, grid)

@@ -98,6 +98,10 @@ class DetectorConfig:
         ratio = self.sample_rate / self.f_rep
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 8:
             raise ValueError("sample_rate must be an integer multiple (>= 8) of f_rep")
+        # a pulse that covers every sample of its period leaves a flat trace
+        # with no pulse in it (a rectangular fwhm_pulse of 12 ns at 80 MHz, 2 GS/s)
+        if np.ptp(_pulse_shape(self)) == 0:
+            raise ValueError("the sampled pulse shape is flat over its period; shorten fwhm_pulse")
         try:
             if self.elec_noise_area_var is None:
                 # default sets the integrated-pulse SNR at the configured LO power

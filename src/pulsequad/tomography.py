@@ -3,7 +3,8 @@
 The reconstruction bins samples into (phase, quadrature) cells, builds one POVM
 element per occupied cell (the projector density integrated over the cell,
 composed with the detection-loss adjoint), and iterates ``rho <- N[R rho R]``
-with ``R = sum_j (f_j / p_j) Pi_j`` until the likelihood gain stalls.
+with ``R = sum_j (f_j / p_j) Pi_j``, each step taken from a Nesterov-extrapolated
+point, until a certified bound on the likelihood gap is small or the gain stalls.
 
 A cell's phase enters only through the real harmonic layout that the
 sampler also uses (:mod:`pulsequad.states`): ``K = 2 dim - 1`` columns
@@ -15,6 +16,7 @@ per bin over the cells, which come grouped by bin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +50,23 @@ _QUAD_WEIGHTS = np.array(
      0.4786286704993663, 0.23692688505618928]
 )
 _QUAD_PANEL = 0.3  # widest sub-interval of a bin one rule spans: a POVM to 2e-15 at cutoff 20
+GAP_TOL = 1e-3  # nats: the reconstruction stops once its likelihood-gap bound is this small
 
 
 @dataclass(frozen=True)
 class MleResult:
-    """Reconstruction output: the state, the likelihood trail, and a flag."""
+    """Reconstruction output: the state, the likelihood trail, a flag and a bound.
+
+    ``converged`` is true when a stopping test held before ``max_iter`` ran
+    out: either the gap bound fell to ``GAP_TOL`` or a plain step's relative
+    gain to ``tol``.  ``gap_bound`` (nats) bounds how far the final log-likelihood
+    lies below the maximum over all states: ``ll* - history[-1] <= gap_bound``.
+    """
 
     rho: DensityMatrix
     history: np.ndarray
     converged: bool
+    gap_bound: float
 
     @property
     def iterations(self) -> int:
@@ -103,20 +113,37 @@ def mle_reconstruct(
     """Maximum-likelihood reconstruction from a phase-tagged batch.
 
     ``eta`` is the detection efficiency absorbed into the POVM, so the
-    returned state is corrected for that loss.  The recorded
-    log-likelihood history is non-decreasing; if a full ``R rho R`` step
-    would decrease it, the step is blended toward the identity until it
-    does not.
+    returned state is corrected for that loss.
+
+    The iterate is kept as a factor ``L`` with ``rho = L L^dagger`` (trace
+    one), so the ``R rho R`` step is ``L <- R L``.  From the third step on,
+    each step starts from the extrapolated factor ``L + beta (L - L_prev)``,
+    ``beta = (j - 1) / (j + 2)`` at the ``j``-th step since the last
+    (re)start (Nesterov's sequence), whose state is again a state: no
+    eigenvalue is clipped to zero, where no later ``R rho R`` step could
+    regrow it.  If the extrapolated step would gain no more than ``tol``
+    times the log-likelihood's magnitude, or would lower it, the iteration
+    restarts: it takes the plain step from ``rho`` instead, blended toward
+    the identity until the likelihood does not fall, so the recorded
+    history never decreases.
+
+    Every ``R`` formed at a state ``sigma`` bounds the maximum likelihood,
+    ``ll* <= ll(sigma) + N (lambda_max(R) - 1)`` with ``N`` the sample count
+    (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)); the least
+    such bound less the current log-likelihood is ``gap_bound``.  The loop
+    stops at the first step where ``gap_bound <= GAP_TOL`` or a plain step
+    gains at most ``tol`` times the log-likelihood's magnitude.
 
     Cells come grouped by quadrature bin, so each bin is a contiguous
     segment.  A cell's probability is ``p = coef . A[bin]``: ``coef``
     holds the cell's ``cos(order * theta + shift)`` columns of the real
     harmonic layout of :mod:`pulsequad.states`, and for column ``k`` of
     order ``d``, ``A[b, k] = w_k Re[exp(-i shift_k) sum_m O_b[m+d, m]
-    rho[m, m+d]]`` (the Re part at shift 0, the Im part at shift pi/2).
-    ``R`` is the transpose of that product: one segment sum of
-    ``weights * coef`` per bin and column, mapped through the bin
-    operators ``O_b``.
+    rho[m, m+d]]`` (the Re part at shift 0, the Im part at shift pi/2),
+    gathered from ``rho`` through one index map (the fold).  ``R`` is the
+    transpose of that product: one segment sum of ``weights * coef`` per
+    bin and column, mapped through the bin operators ``O_b`` and scattered
+    back through the same map.
     """
     if batch.phases is None:
         raise ValueError("reconstruction requires per-sample LO phases")
@@ -126,63 +153,115 @@ def mle_reconstruct(
         raise ValueError(f"bin_width must lie in (0, {2 * SAMPLE_GRID_HALFSPAN:g}]")
     if not 0.0 < eta <= 1.0:
         raise ValueError("detection efficiency must lie in (0, 1]")
+    if not tol >= 0.0:  # a negative or NaN tol would accept steps that lower the likelihood
+        raise ValueError("tol must be nonnegative")
     if len(batch) == 0:
         raise ValueError("batch is empty")
 
     dim = int(cutoff)
+    size = dim * dim
     cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(
         batch.values, batch.phases, bin_width
     )
-    ops = _bin_operators(bin_lo, bin_width, dim, eta).reshape(bin_lo.size, dim * dim)
+    ops = _bin_operators(bin_lo, bin_width, dim, eta).reshape(bin_lo.size, size)
     order, shift, weight = _harmonic_layout(dim)
-    # column k of order d reads Re[exp(-i shift_k) sum_m O_b[m+d, m] rho[m, m+d]]:
-    # fold[k] holds exp(-i shift_k) on the d-th diagonal below the main one
-    unit = np.where(shift == 0.0, 1.0, -1j)
-    fold = np.array([u * np.eye(dim, k=-int(d)) for d, u in zip(order, unit)])
+    # entry m of column k (order d) pairs rho[m, m+d], its Re part at shift 0
+    # and its Im part at shift pi/2, with O_b[m+d, m]: the fold takes rho's
+    # float view to the weighted (K, dim*dim) rows that meet the bin operators
+    k, m = np.nonzero(np.arange(dim) < dim - order[:, None])
+    d = order[k].astype(np.int64)
+    part = (shift[k] != 0).astype(np.int64)
+    col = k * size + (m + d) * dim + m
+    fold = np.zeros(order.size * size, dtype=np.int64)
+    fold[col] = 2 * (m * dim + m + d) + part
+    fold_weight = np.zeros(order.size * size)
+    fold_weight[col] = weight[k]
+    # and the unfold reads R's float view back from the transposed product:
+    # R[m+d, m] = re - i im, R[m, m+d] its conjugate; the diagonal's Im slots stay 0
+    below = 2 * ((m + d) * dim + m) + part
+    above = 2 * (m * dim + m + d) + part
+    unfold = np.zeros(2 * size, dtype=np.int64)
+    unfold[below] = unfold[above] = col
+    unfold_sign = np.zeros(2 * size)
+    unfold_sign[above] = 1.0
+    unfold_sign[below] = np.where(part == 1, -1.0, 1.0)
     # every bin holds a cell (_binned_cells keeps occupied bins only), so no
     # segment of the reduceat below is empty
     cells_per_bin = np.bincount(bin_of_cell, minlength=bin_lo.size)
     bin_starts = np.cumsum(cells_per_bin) - cells_per_bin
     coef = np.ascontiguousarray(_harmonic_factors(cell_phase, order, shift).T)
-    freqs = counts / counts.sum()
+    total = counts.sum()
+    freqs = counts / total
 
     def cell_probs(rho):
-        per_bin = weight[:, None] * ((fold * rho.T).real.reshape(order.size, -1) @ ops.T)
+        per_bin = (rho.view(float).ravel()[fold] * fold_weight).reshape(order.size, size) @ ops.T
         p = np.einsum("kj,kj->j", coef, np.repeat(per_bin, cells_per_bin, axis=1))
         return np.maximum(p, 1e-300)
 
     def iteration_operator(weights):
         # the transpose of cell_probs: segment sums of weights * coef per bin,
-        # through the bin operators, into R's lower triangle; the rest is Hermitian
+        # through the bin operators, unfolded into R
         s = np.add.reduceat(coef * weights, bin_starts, axis=1)
-        lower = np.einsum("kmn,kmn->mn", (s @ ops).reshape(fold.shape), fold)
-        return lower + np.tril(lower, -1).conj().T
+        return ((s @ ops).ravel()[unfold] * unfold_sign).view(complex).reshape(dim, dim)
 
-    rho = np.eye(dim, dtype=complex) / dim
+    def likelihood_bound(r_op, ll_at):
+        # ll* <= ll(sigma) + N (lambda_max(R(sigma)) - 1) at any state sigma
+        return ll_at + total * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
+
+    def normalized(factor):
+        # the state of a factor, rho = L L^dagger / tr, is a state for any L;
+        # cell_probs reads only its upper triangle, and DensityMatrix.from_array
+        # makes the returned one exactly Hermitian
+        rho = factor @ factor.conj().T
+        scale = np.trace(rho).real
+        return factor / math.sqrt(scale), rho / scale
+
+    factor, rho = normalized(np.eye(dim, dtype=complex))
+    factor_prev = factor
     p = cell_probs(rho)
     ll = float(counts @ np.log(p))
     history = [ll]
     converged = False
+    best_bound = math.inf
     eye = np.eye(dim, dtype=complex)
+    momentum = 0
 
     for _ in range(max_iter):
-        r_op = iteration_operator(freqs / p)
-        mean_eig = np.trace(r_op).real / dim
-        lam = 1.0
-        for _ in range(60):
-            r_lam = r_op if lam == 1.0 else (1 - lam) * mean_eig * eye + lam * r_op
-            cand = r_lam @ rho @ r_lam
-            cand = 0.5 * (cand + cand.conj().T)
-            cand /= np.trace(cand).real
+        beta = (momentum - 1) / (momentum + 2)  # 0 at the first two steps after a (re)start
+        momentum += 1
+        gain = -math.inf
+        if beta > 0:
+            factor_y, y = normalized((1 + beta) * factor - beta * factor_prev)
+            p_y = cell_probs(y)
+            r_op = iteration_operator(freqs / p_y)
+            best_bound = min(best_bound, likelihood_bound(r_op, float(counts @ np.log(p_y))))
+            factor_new, cand = normalized(r_op @ factor_y)
             p_new = cell_probs(cand)
             ll_new = float(counts @ np.log(p_new))
-            if ll_new >= ll - 1e-12 * (abs(ll) + 1.0):
-                break
-            lam *= 0.5
-        gain = ll_new - ll
+            gain = ll_new - ll
+        # an extrapolated step that gains no more than the stall rule asks is
+        # not taken, so only a plain step can stop the loop by that rule
+        if gain <= tol * abs(ll):
+            if beta > 0:
+                momentum = 1  # restart: this plain step, then one more before extrapolating
+            r_op = iteration_operator(freqs / p)
+            best_bound = min(best_bound, likelihood_bound(r_op, ll))
+            mean_eig = np.trace(r_op).real / dim
+            floor = ll - 1e-12 * (abs(ll) + 1.0)
+            lam = 1.0
+            for _ in range(60):
+                r_lam = r_op if lam == 1.0 else (1 - lam) * mean_eig * eye + lam * r_op
+                factor_new, cand = normalized(r_lam @ factor)
+                p_new = cell_probs(cand)
+                ll_new = float(counts @ np.log(p_new))
+                if ll_new >= floor:
+                    break
+                lam *= 0.5
+            gain = ll_new - ll
+        factor_prev, factor = factor, factor_new
         rho, p, ll = cand, p_new, ll_new
         history.append(ll)
-        if gain <= tol * abs(ll):
+        if best_bound - ll <= GAP_TOL or gain <= tol * abs(ll):
             converged = True
             break
 
@@ -190,6 +269,7 @@ def mle_reconstruct(
         rho=DensityMatrix.from_array(rho),
         history=np.asarray(history),
         converged=converged,
+        gap_bound=float(best_bound - ll),
     )
 
 

@@ -595,6 +595,8 @@ CHARACTERIZE_PROBES = {  # detector section, seed, exit codes it may give
     "f_rep 1 kHz at 100 kHz sampling": ({"f_rep": 1e3, "sample_rate": 1e5}, 0, (0, 2)),
     "drift 1e6 per s": ({"drift": {"linear_rate": 1e6}}, 1, (0, 2)),
     "fwhm 1 ms": ({"fwhm_pulse": 1e-3}, 1, (2,)),  # longer than the 12.5 ns period
+    "fwhm 12 ns rectangular": ({"fwhm_pulse": 12e-9}, 1, (2,)),  # covers all 25 samples: flat
+    "fwhm 11.9 ns rectangular": ({"fwhm_pulse": 11.9e-9}, 1, (0,)),  # 23 of the 25 samples
 }
 
 

@@ -97,7 +97,11 @@ class TestConfigValidation:
         for fwhm in (12.5e-9, 1e-3):  # f_rep 80 MHz: a 12.5 ns period
             with pytest.raises(ValueError, match="shorter than the pulse period"):
                 DetectorConfig(fwhm_pulse=fwhm)
-        assert DetectorConfig(fwhm_pulse=12.4e-9).fwhm_pulse == 12.4e-9
+        # shorter than the period, but a rectangle of 12.4 ns covers all 25
+        # samples and leaves a flat trace; a Gaussian of that width does not
+        with pytest.raises(ValueError, match="flat"):
+            DetectorConfig(fwhm_pulse=12.4e-9)
+        assert DetectorConfig(fwhm_pulse=12.4e-9, pulse_shape="gaussian").fwhm_pulse == 12.4e-9
 
     def test_rejects_bad_efficiency(self):
         with pytest.raises(ValueError):

@@ -9,12 +9,15 @@ from hypothesis import strategies as st
 from scipy.special import erf
 from scipy.stats import ks_2samp
 
-from pulsequad.cli import TomographyOptions
+from pulsequad.cli import TomographyOptions, _child_seed, _seeded_rng
 from pulsequad.extraction import QuadratureBatch
 from pulsequad.states import (
     SAMPLE_GRID_HALFSPAN,
+    DensityMatrix,
     StateModel,
     WignerGrid,
+    _cumulative_harmonics,
+    _harmonic_factors,
     coherent_amplitudes,
     fidelity_pure,
     sample_quadratures,
@@ -163,6 +166,9 @@ class TestMleReconstruct:
             mle_reconstruct(batch, 4, bin_width=50.0)
         with pytest.raises(ValueError):
             mle_reconstruct(batch, 4, eta=0.0)
+        for tol in (-1e-9, float("nan")):  # would accept steps that lower the likelihood
+            with pytest.raises(ValueError, match="tol"):
+                mle_reconstruct(batch, 4, tol=tol)
 
     def test_non_convergence_flagged(self):
         phases = np.repeat(np.arange(5) * np.pi / 5, 2000)
@@ -211,15 +217,15 @@ def dense_rrr_reference(batch, cutoff, bin_width, steps):
     )
     ops = _bin_operators(bin_lo, bin_width, cutoff, 1.0)
     u = np.exp(1j * np.outer(cell_phase, np.arange(cutoff)))
-    povm = u[:, :, None] * ops[bin_of_cell] * u.conj()[:, None, :]
+    povm = (u[:, :, None] * ops[bin_of_cell] * u.conj()[:, None, :]).reshape(u.shape[0], -1)
     freqs = counts / counts.sum()
     rho = np.eye(cutoff, dtype=complex) / cutoff
     history = []
     for step in range(steps + 1):
-        p = np.einsum("nm,jmn->j", rho, povm).real
+        p = (povm @ rho.T.ravel()).real
         history.append(counts @ np.log(p))
         if step < steps:
-            r = np.einsum("j,jmn->mn", freqs / p, povm)
+            r = ((freqs / p) @ povm).reshape(cutoff, cutoff)
             rho = r @ rho @ r
             rho = 0.5 * (rho + rho.conj().T)
             rho /= np.trace(rho).real
@@ -240,6 +246,69 @@ class TestRealHarmonicLayout:
         assert result.iterations == steps
         assert np.allclose(result.history, history, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(result.rho.elements - rho)) <= 1e-12
+
+
+def sample_density(rho, n, seed):
+    """``n`` quadratures of ``rho`` at uniform random phases: each inverts the
+    cumulative harmonic table at its phase on a 1025-point grid over [-8, 8]."""
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(0.0, 2.0 * np.pi, n)
+    grid = np.linspace(-8.0, 8.0, 1025)
+    table, order, shift = _cumulative_harmonics(rho, grid)
+    cdf = _harmonic_factors(phases, order, shift) @ table.T  # (n, grid)
+    target = rng.random(n) * cdf[:, -1]
+    pos = np.minimum((cdf <= target[:, None]).sum(axis=1) - 1, grid.size - 2)
+    lo, hi = cdf[np.arange(n), pos], cdf[np.arange(n), pos + 1]
+    frac = np.clip((target - lo) / (hi - lo), 0.0, 1.0)
+    return QuadratureBatch(values=grid[pos] + frac * (grid[1] - grid[0]), phases=phases)
+
+
+def plain_rrr_loglik(batch, cutoff, steps=3000):
+    """The best log-likelihood of a long plain R rho R run: a lower bound on ll*."""
+    history, _, _ = dense_rrr_reference(batch, cutoff, 0.1, steps)
+    return float(history.max())
+
+
+def check_certified(result, ll_ref):
+    eigenvalues = np.linalg.eigvalsh(result.rho.elements)
+    assert eigenvalues.min() >= -1e-12
+    assert abs(np.trace(result.rho.elements).real - 1.0) <= 1e-12
+    assert np.all(np.diff(result.history) >= -1e-10 * np.abs(result.history[:-1]))
+    assert result.gap_bound >= 0.0
+    assert result.gap_bound >= ll_ref - result.history[-1]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    dim=st.integers(2, 6),
+    rank=st.integers(1, 6),
+    n=st.integers(2000, 5000),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mle_is_a_state_whose_gap_bound_holds(dim, rank, n, seed):
+    # a random state of any rank up to dim, so the ML state may sit on the
+    # boundary; the bound must cover the gap to a long plain R rho R run
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(dim, min(rank, dim))) + 1j * rng.normal(size=(dim, min(rank, dim)))
+    truth = DensityMatrix.from_array(g @ g.conj().T / np.sum(np.abs(g) ** 2))
+    batch = sample_density(truth, n, seed)
+    result = mle_reconstruct(batch, dim)
+    check_certified(result, plain_rrr_loglik(batch, dim))
+
+
+@pytest.mark.parametrize("seed", [28, 38])
+def test_boundary_state_reaches_the_long_run_likelihood(seed):
+    # the 1,000-sample random-phase coherent batches of the tomography CLI at
+    # these seeds have a rank-3 ML state at cutoff 10; the extrapolated steps
+    # must not stall far below the likelihood a long plain run reaches
+    phases = _seeded_rng(seed, 0).uniform(0.0, 2.0 * np.pi, 1000)
+    batch = sample_quadratures(
+        StateModel.coherent(0.86), phases, 1000, _child_seed(seed, 1), cutoff=10
+    )
+    result = mle_reconstruct(batch, 10)
+    ll_ref = plain_rrr_loglik(batch, 10)
+    check_certified(result, ll_ref)
+    assert result.history[-1] >= ll_ref - 0.02
 
 
 def test_quadrature_rule_is_leggauss_5():
