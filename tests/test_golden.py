@@ -95,39 +95,39 @@ DIGESTS = {
         "spectrum.csv": "5942c8d1814d6d658e900c8fafa320ee13582406c0d1c1f54c098d3a5099b572",
     },
     "tomo-mixture-random": {
-        "photon_stats.csv": "722e2639f5b58da349d07748772bc128f3d99710e155a9962e69a599b6ddafe5",
-        "rho.csv": "6287f31bde4dc30ab724acaa6015b8b141cf57ffcf23beb2d6f642d849341e2e",
+        "photon_stats.csv": "8ae690a22ce16044b274cd57230c49c0bcd468f1f40d758644247d3a073ee684",
+        "rho.csv": "d36761abf3e349fe2760ad84b3f3a50f3ca0d702ac0a47e770caff0d7d68907a",
         "samples.csv": "03f6664f474bc9bfd4486b34c2dd4318d27740843145cd545d909a93c1762e9b",
-        "summary.json": "b123c5474dd992c97a46f83e3a141bc2825a151308686de94e7fe11cf1d99f45",
-        "wigner.csv": "2dcdddb64244efad59c4c2b8e788dc0626bd77a9133c23ed2457db2efe07587c",
+        "summary.json": "8b22ee7c7facf293b482aa52655b4a8bfc1c7cbe1bfe6d4b0b1055ae0d7cb5d6",
+        "wigner.csv": "9a160411d28875bc83ebaffe22b1d152ce2f64604a5914bd7efea025cadd900c",
     },
     "tomo-coherent-list": {
-        "photon_stats.csv": "49b784789a6270f2bf42916df159e05b1b90299787b99a1e411e689da1638057",
-        "rho.csv": "6635afe309531af1a58e86b14c1d51376cde44b841f42420011e9aa9258c2b5f",
+        "photon_stats.csv": "4e6a2a08738fd00a6ff871a3a8e1107b8be553b3c110df67b7858a32c7053db8",
+        "rho.csv": "6bfe5464a42c5b3cadf20ba34c22202420d9a6190df92db84ec79366e4ab048e",
         "samples.csv": "4956fe002e3df50ad639514ac92c273f59bae4a39ceb7eeb65d2a9b7c9d79ced",
-        "summary.json": "9449450305ae673fbd403c1f122bedba482fdf16ebea3a3db71c655181efca3d",
-        "wigner.csv": "3a021387cafe1cf0eae0bbc5c41ac25bf990dbbbcd7943676a08e13c500a5c8c",
+        "summary.json": "3f868e2c383e29285b1439ceed8f616c365207170052e822af4ca898e9ffc967",
+        "wigner.csv": "dac5c416b7e5f2cbaf3b8dc2cd3bc8d18337bc62c24b4bddfc3e37130b8631c1",
     },
     "tomo-coherent-sweep": {
-        "photon_stats.csv": "14e32ad7203c4a91a03e85c11faf73b29ef16bf0a20fbd60fd559319b2f18354",
-        "rho.csv": "1a2d9f1ffca028d5553aab97a510c855c0205a34b556195ef947f505c1149bf3",
+        "photon_stats.csv": "bbca4c5e60bc424bb4f6332f0200ad9c2dccc3fbd77b8950d99ba646fa149f18",
+        "rho.csv": "2a79bc6308f429babf81a8f9af638a03cdbf98bea258dca32e2c57d6d32df4e3",
         "samples.csv": "a69ac953553db755484e7818b50350c1f5f7a4ce638ea1b0806a23227435022c",
-        "summary.json": "995939491567ae280aa739e79f727ecde5183908499688ffe034882c98adf673",
-        "wigner.csv": "9685c869113a2619317eb76a973d0298a157288a3f2e853afd26e9e43ee66be4",
+        "summary.json": "701a80a80b812cada8a2e2d1dafc076a4bf34ca7508f7138c042a2ebaa690d25",
+        "wigner.csv": "51bd50410b5c545d1fddaec8c997926784f0ecf266031fc9c1f9ed64d82d26f8",
     },
     "tomo-fock-random": {
-        "photon_stats.csv": "575ff971a0faf0a98eb27d546d26733a75b18934c781522b744c20c65735fbfd",
-        "rho.csv": "96c6a4ba5c3c600c611b58cdedd060f0685701f2632e0e486938d0dc53d92ce6",
+        "photon_stats.csv": "a7025079bdadeac39a5222478d51dfe524c25312c4eb8f0b0056406b7548a402",
+        "rho.csv": "82ebe20ba5c42e177078f4045e5abf3eb489cebc778548d3beb24bbf305ecc6d",
         "samples.csv": "3c9560510dbcd7b0010ef023de6fb4702ee43e012ba7836a797979d656320b3e",
-        "summary.json": "a087cec35cd640d4b5a6c07f4999776ef1e56d7ae4a2d84fbcd078e0145d67b9",
-        "wigner.csv": "9c1b84bce8c30ef0c0f50be2fead8739c190be98e46a6b6ff31f2c064458c61d",
+        "summary.json": "9ad122e1963e66a8293946af3b8f799de718edaa8beb326569d961fc5db0d41c",
+        "wigner.csv": "f559de8e608ec5740e93d25b7adfc8d0dba0d512292ee2dfd9e9a01d48fcb36c",
     },
     "tomo-vacuum-default": {
-        "photon_stats.csv": "a78ba85fa15ece204fc3651e892b0dc5e9f89053cc16a41851d8adb41e697f0a",
-        "rho.csv": "a70b2c272decf523c5a29971387c2f3d2d3af36047457ecd0c33eeaf19f5560e",
+        "photon_stats.csv": "132b99f25778d073ccb142a6a50975eb93365bd87baf0839fdb42b47d1f3715d",
+        "rho.csv": "754796d17ce0bcce5a9223b2577d0e591c13392f41b2d4261e27458a0182ef5f",
         "samples.csv": "993ffd0214736e4f07a95fdb54fcaca2a985cfab13014ad4242f37a75e0ac154",
-        "summary.json": "905981020c132401dd2367a63279ccde29b426ffc593111d9027bebb225757b6",
-        "wigner.csv": "98c31f6301fb7fa7eb8ec21c5ed07d5c0d9e9177b916a052c86ba6fb78052f14",
+        "summary.json": "54271daa488e127818cd984886cda768424d563dc4a93baae2d64f437788b94c",
+        "wigner.csv": "23d9b4c4f6857fd17ae58a4f9be48a969edcc3b91f5c02949791de75b641eeda",
     },
     "trace-gaussian": {
         "trace.bin": "d32b2949b35eaa28d2dad8d1dfbd28f25b0e4afa1b8a005a3338916daa20df42",
