@@ -289,7 +289,8 @@ def test_mle_is_a_state_whose_gap_bound_holds(dim, rank, n, seed):
     # a random state of any rank up to dim, so the ML state may sit on the
     # boundary; the bound must cover the gap to a long plain R rho R run
     rng = np.random.default_rng(seed)
-    g = rng.normal(size=(dim, min(rank, dim))) + 1j * rng.normal(size=(dim, min(rank, dim)))
+    shape = (dim, min(rank, dim))
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     truth = DensityMatrix.from_array(g @ g.conj().T / np.sum(np.abs(g) ** 2))
     batch = sample_density(truth, n, seed)
     result = mle_reconstruct(batch, dim)
@@ -300,7 +301,8 @@ def test_mle_is_a_state_whose_gap_bound_holds(dim, rank, n, seed):
 def test_boundary_state_reaches_the_long_run_likelihood(seed):
     # the 1,000-sample random-phase coherent batches of the tomography CLI at
     # these seeds have a rank-3 ML state at cutoff 10; the extrapolated steps
-    # must not stall far below the likelihood a long plain run reaches
+    # must not stall below the likelihood a long plain run reaches (steps from
+    # eigenvalue-clipped states stalled 1.5e-3 and 1.4e-2 nats below it)
     phases = _seeded_rng(seed, 0).uniform(0.0, 2.0 * np.pi, 1000)
     batch = sample_quadratures(
         StateModel.coherent(0.86), phases, 1000, _child_seed(seed, 1), cutoff=10
@@ -308,7 +310,7 @@ def test_boundary_state_reaches_the_long_run_likelihood(seed):
     result = mle_reconstruct(batch, 10)
     ll_ref = plain_rrr_loglik(batch, 10)
     check_certified(result, ll_ref)
-    assert result.history[-1] >= ll_ref - 0.02
+    assert result.history[-1] >= ll_ref - 1e-3
 
 
 def test_quadrature_rule_is_leggauss_5():
