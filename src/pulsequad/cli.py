@@ -11,7 +11,9 @@ Exit codes: 0 success, 2 configuration error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
+import atexit
 import contextlib
+import gc
 import json
 import math
 import os
@@ -46,6 +48,7 @@ from .characterization import (
 from .detector import (
     DetectorConfig,
     _child_seed,
+    _pulse_shape,
     _seeded_rng,
     _signal_areas,
     _stream_trace_bin,
@@ -65,6 +68,7 @@ from .extraction import (
 from .states import (
     DEFAULT_CUTOFF,
     SAMPLE_GRID_HALFSPAN,
+    SAMPLE_GRID_MAX_CUTOFF,
     StateModel,
     fidelity_pure,
     photon_statistics,
@@ -78,6 +82,13 @@ from .tomography import (
     write_photon_statistics_csv,
     write_wigner_csv,
 )
+
+# At exit CPython collects every tracked object (numpy's and this package's
+# modules, functions and classes, ~23k after a run) and frees them one by one,
+# ~10 ms per CLI process.  Atexit hooks run before those collections, and a
+# frozen heap is skipped by them; the OS reclaims its memory.  Nothing changes
+# before exit, so an in-process caller of main() keeps its collector.
+atexit.register(gc.freeze)
 
 __all__ = [
     "ConfigError",
@@ -124,8 +135,10 @@ class TomographyOptions:
     eta: float = 1.0
 
     def __post_init__(self):
-        if self.cutoff < 2:
-            raise ConfigError("tomography cutoff must be at least 2")
+        # a state above the largest cutoff would be sampled from a density
+        # truncated at the edges of the sampling grid
+        if not 2 <= self.cutoff <= SAMPLE_GRID_MAX_CUTOFF:
+            raise ConfigError(f"tomography cutoff must lie in [2, {SAMPLE_GRID_MAX_CUTOFF}]")
         if not (self.bin_width > 0 and self.tol > 0 and self.max_iter >= 1):
             raise ConfigError("bin_width, tol and max_iter must be positive")
         # bin indices across the sampling grid must stay exact integers, and a
@@ -357,6 +370,17 @@ def _spectrum(det: DetectorConfig, seed: int, segment_len: int, area: float | No
     return noise_spectrum(blocks, segment_len, sample_rate=det.sample_rate)
 
 
+def _pulse_rolls_off(det: DetectorConfig, segment_len: int) -> bool:
+    """Whether the sampled pulse's own power response falls 3 dB below its
+    DC value at some frequency of the ``segment_len`` spectrum grid; if it
+    never does, any crossing a noisy spectrum shows is noise."""
+    shape = _pulse_shape(det)
+    # the grid samples the pulse's transform at k / segment_len: fold it to that length
+    folded = np.bincount(np.arange(shape.size) % segment_len, shape, minlength=segment_len)
+    response = np.abs(np.fft.rfft(folded)) ** 2
+    return bool(np.any(response < response[0] * 10 ** (-0.3)))
+
+
 def _allan_block_pulses(det: DetectorConfig) -> int:
     return int(round(det.f_rep * ALLAN_BLOCK_S))
 
@@ -488,7 +512,9 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
     else:
         snr_db, eta_en = None, 1.0  # noiseless electronics
     eta_bhd = overall_efficiency(eta_en, det.eta_pd)
-    bandwidth = bandwidth_minus3db(shot_band, elec_band)
+    bandwidth = None
+    if _pulse_rolls_off(det, SEGMENT_LEN_BAND):
+        bandwidth = bandwidth_minus3db(shot_band, elec_band)
     rejection = cmrr_db(balanced_line, blocked_line, det.f_rep)
     stability = find_stability_interval(mean_curve)
     tbp = None if bandwidth is None else time_bandwidth_product(bandwidth, stability)

@@ -56,6 +56,9 @@ EIGENVALUE_TOL = -1e-8
 DEFAULT_CUTOFF = 10  # Fock cutoff a state is sampled at unless one is given
 
 SAMPLE_GRID_HALFSPAN = 8.0
+# largest Fock cutoff the grid holds: level 19 loses 6.6e-8 of its mass
+# beyond +-8, level 20 2.9e-7 and level 21 1.2e-6
+SAMPLE_GRID_MAX_CUTOFF = 20
 SAMPLE_GRID_POINTS = 2**14  # a power of two: bisection steps 2**13 .. 1 reach every index
 SAMPLE_BLOCK_ENTRIES = 2**12  # samples x table columns inverted at a time: bounds temporaries
 SAMPLE_GUIDE_BUCKETS = 2**14  # guide entries over the range of a phase-free CDF

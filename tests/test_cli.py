@@ -1,5 +1,6 @@
 """Command-line front end: config validation, artifacts, reproducibility."""
 
+import gc
 import itertools
 import json
 import math
@@ -470,6 +471,20 @@ class TestTomographyRun:
         )
         assert load_config(path).tomography.cutoff == 13
 
+    @pytest.mark.parametrize("cutoff, code", [(20, 0), (21, 2)])
+    def test_cutoff_bounded_by_the_sampling_grid(self, tmp_path, capsys, cutoff, code):
+        # over [-8, 8] level 19 loses 6.6e-8 of its mass and level 20 2.9e-7
+        out = tmp_path / "out"
+        doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(out),
+               "tomography": {"cutoff": cutoff}}
+        assert main(["tomography", "--config", write_config(tmp_path, doc)]) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == ""
+            assert len((out / "rho.csv").read_text().splitlines()) == 1 + cutoff**2
+        else:
+            assert err == "pulsequad: config error: tomography cutoff must lie in [2, 20]\n"
+
     def test_huge_coherent_alpha_runs_cleanly(self, tmp_path, capsys, recwarn):
         path = write_config(
             tmp_path,
@@ -589,20 +604,27 @@ class TestCharacterizeRun:
 # accepted characterize configs that once exited 3 with "no -3 dB crossing
 # found within the grid": a pulse shorter than one sample leaves the shot
 # spectrum flat to Nyquist, and a steep drift lifts its plateau
-CHARACTERIZE_PROBES = {  # detector section, seed, exit codes it may give
-    "fwhm 1 ps rectangular": ({"fwhm_pulse": 1e-12}, 1, (0, 2)),
-    "fwhm 1 ps gaussian": ({"fwhm_pulse": 1e-12, "pulse_shape": "gaussian"}, 1, (0, 2)),
-    "f_rep 1 kHz at 100 kHz sampling": ({"f_rep": 1e3, "sample_rate": 1e5}, 0, (0, 2)),
-    "drift 1e6 per s": ({"drift": {"linear_rate": 1e6}}, 1, (0, 2)),
-    "fwhm 1 ms": ({"fwhm_pulse": 1e-3}, 1, (2,)),  # longer than the 12.5 ns period
-    "fwhm 12 ns rectangular": ({"fwhm_pulse": 12e-9}, 1, (2,)),  # covers all 25 samples: flat
-    "fwhm 11.9 ns rectangular": ({"fwhm_pulse": 11.9e-9}, 1, (0,)),  # 23 of the 25 samples
+CHARACTERIZE_PROBES = {  # detector section, seed, exit codes it may give, report entries
+    "fwhm 1 ps rectangular": ({"fwhm_pulse": 1e-12}, 1, (0, 2), {}),
+    "fwhm 1 ps gaussian": ({"fwhm_pulse": 1e-12, "pulse_shape": "gaussian"}, 1, (0, 2), {}),
+    "drift 1e6 per s": ({"drift": {"linear_rate": 1e6}}, 1, (0, 2), {}),
+    "fwhm 1 ms": ({"fwhm_pulse": 1e-3}, 1, (2,), {}),  # longer than the 12.5 ns period
+    "fwhm 12 ns rectangular": ({"fwhm_pulse": 12e-9}, 1, (2,), {}),  # covers all 25 samples: flat
+    "fwhm 11.9 ns rectangular": ({"fwhm_pulse": 11.9e-9}, 1, (0,), {}),  # 23 of the 25 samples
+    # a one-sample pulse responds flat to Nyquist, so no seed's noise is a
+    # crossing: seeds 1-3 once reported 49,997-49,999 Hz, seed 0 null
+    **{
+        "f_rep 1 kHz at 100 kHz sampling" + (f", seed {seed}" if seed else ""): (
+            {"f_rep": 1e3, "sample_rate": 1e5}, seed, (0,), {"bandwidth_hz": None},
+        )
+        for seed in range(4)
+    },
 }
 
 
 @pytest.mark.parametrize("probe", sorted(CHARACTERIZE_PROBES))
 def test_characterize_probe_answers_or_exits_2(tmp_path, capsys, probe):
-    detector, seed, codes = CHARACTERIZE_PROBES[probe]
+    detector, seed, codes, entries = CHARACTERIZE_PROBES[probe]
     out = tmp_path / "out"
     doc = {"run": "characterize", "n_pulses": 4000, "seed": seed, "out_dir": str(out),
            "detector": detector}
@@ -614,6 +636,7 @@ def test_characterize_probe_answers_or_exits_2(tmp_path, capsys, probe):
         numbers += [v for row in report["cc"] for v in row.values()]
         assert all(v is None or math.isfinite(v) for v in numbers)
         assert (report["bandwidth_hz"] is None) == (report["tbp"] is None)
+        assert {k: report[k] for k in entries} == entries
 
 
 class TestRerunIntoOutDir:
@@ -811,6 +834,36 @@ def test_runs_leave_numpy_polynomial_unimported(tmp_path):
     assert sorted(m for m in modules if m.startswith("numpy.polynomial")) == []
     assert (tmp_path / "tomography" / "wigner.csv").exists()
     assert (tmp_path / "trace-export" / "trace.bin").exists()
+
+
+# The probe is registered before the CLI module is imported, and atexit hooks
+# run last in, first out, so it sees the heap as the CLI's hook left it.
+EXIT_FREEZE_SCRIPT = """
+import atexit, gc, sys
+atexit.register(lambda: print("frozen", gc.get_freeze_count()))
+from pulsequad.cli import main
+sys.exit(main(["tomography", "--config", sys.argv[1]]))
+"""
+
+
+class TestExitFreeze:
+    def test_cli_process_freezes_its_heap_at_exit(self, tmp_path):
+        out = tmp_path / "out"
+        doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(out)}
+        proc = subprocess.run(
+            [sys.executable, "-c", EXIT_FREEZE_SCRIPT, write_config(tmp_path, doc)],
+            env=fresh_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        word, count = proc.stdout.split()
+        assert word == "frozen" and int(count) > 0
+        assert (out / "summary.json").exists()
+
+    def test_main_leaves_its_callers_heap_unfrozen(self, tmp_path):
+        doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(tmp_path / "out")}
+        assert main(["tomography", "--config", write_config(tmp_path, doc)]) == 0
+        assert gc.get_freeze_count() == 0
 
 
 def test_characterize_peak_memory(tmp_path):
