@@ -572,7 +572,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
     target = pure_state_vector(config.state, opts.cutoff)
     pure = target is not None and config.state.efficiency == 1.0
     fidelity = fidelity_pure(rho, target) if pure else None
-    w00 = float(wigner(rho, [0.0], [0.0]).values[0, 0])
+    w00 = float(grid.values[WIGNER_POINTS // 2, WIGNER_POINTS // 2])  # the axis's centre is 0.0
     summary = {
         "fidelity": fidelity,
         "w00": w00,

@@ -453,9 +453,13 @@ def sample_quadratures(
     phase shares: it is built once per process for each ``(state, cutoff)``
     and searched through a guide table, O(1) expected per sample, with the
     bisection's exact indices.  A given seed reproduces the batch exactly.
+    ``cutoff`` may be at most ``SAMPLE_GRID_MAX_CUTOFF``: the grid truncates
+    higher Fock levels.
     """
     if n < 1:
         raise ValueError("sample count must be at least 1")
+    if not 1 <= cutoff <= SAMPLE_GRID_MAX_CUTOFF:
+        raise ValueError(f"cutoff must lie in [1, {SAMPLE_GRID_MAX_CUTOFF}]")
     phases = np.atleast_1d(np.asarray(phases, dtype=float))
     if phases.size == 1:
         phases = np.full(n, phases[0])
@@ -499,50 +503,45 @@ def sample_quadratures(
     return QuadratureBatch(values=values, phases=phases)
 
 
-def _laguerre_kernels(d: int, count: int, r2: np.ndarray):
-    """Yield ``sqrt(m!/(m+d)!) L_m^(d)(r2) exp(-r2/2)`` for ``m = 0 .. count-1``.
-
-    The generalized Laguerre polynomials come from the three-term recurrence
-    ``m L_m = (2m - 1 + d - r2) L_{m-1} - (m - 1 + d) L_{m-2}`` with
-    ``L_0 = 1``, so each kernel costs a fixed number of passes over ``r2``.
-    """
-    gauss = np.exp(-0.5 * r2)
-    lag_prev, lag = np.zeros_like(r2), np.ones_like(r2)
-    for m in range(count):
-        if m > 0:
-            lag_prev, lag = lag, ((2 * m - 1 + d - r2) * lag - (m - 1 + d) * lag_prev) / m
-        yield math.sqrt(math.factorial(m) / math.factorial(m + d)) * lag * gauss
-
-
 def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     """Wigner function of ``rho`` on the cartesian grid ``x_axis`` x ``p_axis``.
 
     Evaluated through the associated-Laguerre closed form of the
     number-basis kernels, ``W_{m,m+d} ~ (-1)^m sqrt(m!/(m+d)!) a^d
     L_m^(d)(r^2) exp(-r^2/2) / pi`` with ``a = sqrt(2) (x + i p)`` and
-    ``r^2 = |a|^2``; the polynomials of each order ``d`` are built by their
-    three-term recurrence in ``m``.  The diagonal kernels at the origin
-    alternate as ``(-1)^n / pi``, so negativity at the origin witnesses
-    odd-photon population.
+    ``r^2 = |a|^2``.  Each order's ``rho``-weighted sum of kernels without
+    ``a^d``, ``S_d``, is evaluated once per distinct ``r^2`` of any finite
+    axes; each point then sums ``Re S_d a^d`` by Horner's rule in ``a``.
+    The diagonal kernels at the origin alternate as ``(-1)^n / pi``, so
+    negativity at the origin witnesses odd-photon population.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
+    if not (np.all(np.isfinite(x_axis)) and np.all(np.isfinite(p_axis))):
+        raise ValueError("wigner axes must be finite")
     X, P = np.meshgrid(x_axis, p_axis, indexing="ij")
-    r2 = 2.0 * (X * X + P * P)
+    radii, where = np.unique(2.0 * (X * X + P * P), return_inverse=True)
+    dim, d = rho.dim, np.arange(rho.dim)[:, None]
+    # L_m^(d) by m L_m = (2m - 1 + d - r^2) L_{m-1} - (m - 1 + d) L_{m-2} from
+    # L_0 = 1, for the orders d < dim - m with a kernel m; an order d > 0 is
+    # doubled, since rho_{m+d,m} adds the conjugate term
+    lag_prev, lag = np.zeros((dim, radii.size)), np.ones((dim, radii.size))
+    radial = np.zeros((dim, radii.size), dtype=complex)
+    for m in range(dim):
+        d, lag, lag_prev = d[: dim - m], lag[: dim - m], lag_prev[: dim - m]
+        if m > 0:
+            lag_prev, lag = lag, ((2 * m - 1 + d - radii) * lag - (m - 1 + d) * lag_prev) / m
+        norm = [math.sqrt(math.factorial(m) / math.factorial(m + k)) for k in range(d.size)]
+        weight = np.where(d[:, 0] > 0, 2.0, 1.0) * (-1.0) ** m / math.pi * norm
+        radial[: d.size] += (weight * rho.elements[m, m:])[:, None] * lag
+    radial *= np.exp(-0.5 * radii)
+    where = where.reshape(X.shape)
     amp = math.sqrt(2.0) * (X + 1j * P)
-    dim = rho.dim
-    values = np.zeros_like(X)
-    off = np.ones_like(amp)
-    for d in range(dim):
-        if d > 0:
-            off = off * amp
-        for m, kernel in enumerate(_laguerre_kernels(d, dim - d, r2)):
-            kern = (-1.0) ** m / math.pi * kernel
-            if d == 0:
-                values += rho.elements[m, m].real * kern
-            else:
-                values += 2.0 * np.real(rho.elements[m, m + d] * off) * kern
-    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=values)
+    total = radial[dim - 1].take(where)
+    for order in reversed(range(dim - 1)):
+        total *= amp
+        total += radial[order].take(where)
+    return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=total.real.copy())
 
 
 def photon_statistics(rho: DensityMatrix) -> PhotonStatistics:

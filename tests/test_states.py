@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre
 
 from pulsequad import states
-from pulsequad.cli import PhaseSchedule
+from pulsequad.cli import WIGNER_HALFSPAN, WIGNER_POINTS, PhaseSchedule
 from pulsequad.states import (
     SAMPLE_GRID_HALFSPAN,
+    SAMPLE_GRID_MAX_CUTOFF,
     SAMPLE_GRID_POINTS,
     DensityMatrix,
     StateModel,
@@ -209,6 +210,42 @@ class TestLossAgainstKrausSums:
         assert np.max(np.abs(forward - backward), initial=0.0) <= 1e-12
 
 
+def laguerre_kernels(d, count, r2):
+    """Yield ``sqrt(m!/(m+d)!) L_m^(d)(r2) exp(-r2/2)`` for ``m = 0 .. count-1``,
+    from ``m L_m = (2m - 1 + d - r2) L_{m-1} - (m - 1 + d) L_{m-2}``, ``L_0 = 1``."""
+    gauss = np.exp(-0.5 * r2)
+    lag_prev, lag = np.zeros_like(r2), np.ones_like(r2)
+    for m in range(count):
+        if m > 0:
+            lag_prev, lag = lag, ((2 * m - 1 + d - r2) * lag - (m - 1 + d) * lag_prev) / m
+        yield math.sqrt(math.factorial(m) / math.factorial(m + d)) * lag * gauss
+
+
+def per_point_wigner(rho, x_axis, p_axis):
+    """Wigner function summed kernel by kernel at every grid point:
+    ``(-1)^m / pi`` times each kernel, weighted by ``rho_mm`` on the diagonal
+    and by ``2 Re(rho_{m,m+d} a^d)`` off it."""
+    X, P = np.meshgrid(np.asarray(x_axis, float), np.asarray(p_axis, float), indexing="ij")
+    r2 = 2.0 * (X * X + P * P)
+    amp = math.sqrt(2.0) * (X + 1j * P)
+    values = np.zeros_like(X)
+    off = np.ones_like(amp)
+    for d in range(rho.dim):
+        if d > 0:
+            off = off * amp
+        for m, kernel in enumerate(laguerre_kernels(d, rho.dim - d, r2)):
+            kern = (-1.0) ** m / math.pi * kernel
+            if d == 0:
+                values += rho.elements[m, m].real * kern
+            else:
+                values += 2.0 * np.real(rho.elements[m, m + d] * off) * kern
+    return values
+
+
+def cli_wigner_axis():
+    return np.linspace(-WIGNER_HALFSPAN, WIGNER_HALFSPAN, WIGNER_POINTS)
+
+
 class TestWigner:
     def test_vacuum_origin(self):
         rho = state_density_matrix(StateModel.vacuum(), 4)
@@ -261,7 +298,7 @@ class TestWigner:
         r2 = np.linspace(0.0, 144.0, 1441)
         gauss = np.exp(-0.5 * r2)
         for d in range(40):
-            kernels = list(states._laguerre_kernels(d, 40 - d, r2))
+            kernels = list(laguerre_kernels(d, 40 - d, r2))
             assert len(kernels) == 40 - d
             for m, kernel in enumerate(kernels):
                 weight = math.sqrt(math.factorial(m) / math.factorial(m + d))
@@ -282,6 +319,48 @@ class TestWigner:
         grid = wigner(DensityMatrix(rho / rho.trace().real), axis, axis)
         total = np.trapezoid(np.trapezoid(grid.values, axis, axis=1), axis)
         assert total == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dim=st.integers(1, 20),
+        rank=st.integers(1, 20),
+        seed=st.integers(0, 2**32 - 1),
+        axes=st.sampled_from(["random", "point", "repeated"]),
+    )
+    def test_equals_the_per_point_sum(self, dim, rank, seed, axes):
+        rng = np.random.default_rng(seed)
+        shape = (dim, min(rank, dim))
+        g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = DensityMatrix.from_array(g @ g.conj().T)
+        if axes == "random":  # no symmetry, few repeated radii
+            x, p = rng.uniform(-8.0, 8.0, rng.integers(1, 40)), rng.uniform(-6.0, 9.0, 30)
+        elif axes == "point":
+            x, p = rng.uniform(-4.0, 4.0, 1), rng.uniform(-4.0, 4.0, 1)
+        else:  # every radius repeats, across signs, swapped axes and duplicates
+            x = np.tile(np.round(rng.uniform(-5.0, 5.0, 8), 1), 2)
+            p = np.concatenate((x, -x, [0.0]))
+        got = wigner(rho, x, p).values
+        assert got.shape == (x.size, p.size)
+        assert np.max(np.abs(got - per_point_wigner(rho, x, p))) <= 1e-14
+
+    @pytest.mark.parametrize("dim", [1, 2, 10, 20])
+    def test_origin_is_the_cli_grid_centre_bit_for_bit(self, dim):
+        rho = random_density_matrix(dim, 30 + dim)
+        axis = cli_wigner_axis()
+        centre = wigner(rho, axis, axis).values[WIGNER_POINTS // 2, WIGNER_POINTS // 2]
+        assert wigner(rho, [0.0], [0.0]).values[0, 0] == centre
+        assert per_point_wigner(rho, [0.0], [0.0])[0, 0] == centre
+
+    def test_cli_axis_holds_an_exact_zero_at_its_centre(self):
+        assert cli_wigner_axis()[WIGNER_POINTS // 2] == 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_axis_rejected(self, bad):
+        rho = random_density_matrix(3, 15)
+        with pytest.raises(ValueError, match="finite"):
+            wigner(rho, [bad, 0.0], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            wigner(rho, [0.0], [bad])
 
 
 class TestPhotonStatisticsAndFidelity:
@@ -456,6 +535,14 @@ class TestSampleQuadratures:
         c = sample_quadratures(state, phases, phases.size, seed=6)
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    def test_cutoff_the_grid_cannot_hold_rejected(self):
+        state = StateModel.fock(SAMPLE_GRID_MAX_CUTOFF - 1)
+        with pytest.raises(ValueError, match="cutoff"):
+            sample_quadratures(state, [0.0], 10, seed=1, cutoff=SAMPLE_GRID_MAX_CUTOFF + 1)
+        batch = sample_quadratures(state, [0.0], 4000, seed=1, cutoff=SAMPLE_GRID_MAX_CUTOFF)
+        # <x^2> = n + 1/2 = 19.5, with standard error 0.22 at 4,000 samples
+        assert np.var(batch.values) == pytest.approx(SAMPLE_GRID_MAX_CUTOFF - 0.5, abs=1.0)
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf])
     def test_non_finite_phase_rejected(self, phase):
