@@ -99,35 +99,35 @@ DIGESTS = {
         "rho.csv": "d36761abf3e349fe2760ad84b3f3a50f3ca0d702ac0a47e770caff0d7d68907a",
         "samples.csv": "03f6664f474bc9bfd4486b34c2dd4318d27740843145cd545d909a93c1762e9b",
         "summary.json": "8b22ee7c7facf293b482aa52655b4a8bfc1c7cbe1bfe6d4b0b1055ae0d7cb5d6",
-        "wigner.csv": "9a160411d28875bc83ebaffe22b1d152ce2f64604a5914bd7efea025cadd900c",
+        "wigner.csv": "9455bf0f0b2a996f2cbdd0b9a5bc85b07e5f4cfe08ddf3922caddc0a5eb1ee6b",
     },
     "tomo-coherent-list": {
         "photon_stats.csv": "4e6a2a08738fd00a6ff871a3a8e1107b8be553b3c110df67b7858a32c7053db8",
         "rho.csv": "6bfe5464a42c5b3cadf20ba34c22202420d9a6190df92db84ec79366e4ab048e",
         "samples.csv": "4956fe002e3df50ad639514ac92c273f59bae4a39ceb7eeb65d2a9b7c9d79ced",
         "summary.json": "3f868e2c383e29285b1439ceed8f616c365207170052e822af4ca898e9ffc967",
-        "wigner.csv": "dac5c416b7e5f2cbaf3b8dc2cd3bc8d18337bc62c24b4bddfc3e37130b8631c1",
+        "wigner.csv": "34fa65a44f5934a89a7318a1c1d9d29169fc7345d54853c87ef987879daf7a31",
     },
     "tomo-coherent-sweep": {
         "photon_stats.csv": "bbca4c5e60bc424bb4f6332f0200ad9c2dccc3fbd77b8950d99ba646fa149f18",
         "rho.csv": "2a79bc6308f429babf81a8f9af638a03cdbf98bea258dca32e2c57d6d32df4e3",
         "samples.csv": "a69ac953553db755484e7818b50350c1f5f7a4ce638ea1b0806a23227435022c",
         "summary.json": "701a80a80b812cada8a2e2d1dafc076a4bf34ca7508f7138c042a2ebaa690d25",
-        "wigner.csv": "51bd50410b5c545d1fddaec8c997926784f0ecf266031fc9c1f9ed64d82d26f8",
+        "wigner.csv": "55add599ff7d9123af663720d12da6265befcc907600004a3fbb42a560a12cc0",
     },
     "tomo-fock-random": {
         "photon_stats.csv": "a7025079bdadeac39a5222478d51dfe524c25312c4eb8f0b0056406b7548a402",
         "rho.csv": "82ebe20ba5c42e177078f4045e5abf3eb489cebc778548d3beb24bbf305ecc6d",
         "samples.csv": "3c9560510dbcd7b0010ef023de6fb4702ee43e012ba7836a797979d656320b3e",
         "summary.json": "9ad122e1963e66a8293946af3b8f799de718edaa8beb326569d961fc5db0d41c",
-        "wigner.csv": "f559de8e608ec5740e93d25b7adfc8d0dba0d512292ee2dfd9e9a01d48fcb36c",
+        "wigner.csv": "ee3b040a7edc1bf010e610a5aabcc5b25073570dc645c02a0ee209f04489ccc4",
     },
     "tomo-vacuum-default": {
         "photon_stats.csv": "132b99f25778d073ccb142a6a50975eb93365bd87baf0839fdb42b47d1f3715d",
         "rho.csv": "754796d17ce0bcce5a9223b2577d0e591c13392f41b2d4261e27458a0182ef5f",
         "samples.csv": "993ffd0214736e4f07a95fdb54fcaca2a985cfab13014ad4242f37a75e0ac154",
         "summary.json": "54271daa488e127818cd984886cda768424d563dc4a93baae2d64f437788b94c",
-        "wigner.csv": "23d9b4c4f6857fd17ae58a4f9be48a969edcc3b91f5c02949791de75b641eeda",
+        "wigner.csv": "7625123d4631de0d7923f234f9a2f4e4485c6513439117d0e0c9868c2c21091f",
     },
     "trace-gaussian": {
         "trace.bin": "d32b2949b35eaa28d2dad8d1dfbd28f25b0e4afa1b8a005a3338916daa20df42",
