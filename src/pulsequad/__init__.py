@@ -6,22 +6,17 @@ __version__ = "0.1.0"
 from .detector import (
     DetectorConfig,
     DriftModel,
-    GroundTruth,
     TraceBuffer,
     area_scale,
     electronic_only_areas,
-    electronic_only_trace,
     generate_areas,
-    generate_trace,
     photons_per_pulse,
-    single_diode_trace,
 )
 from .extraction import (
     CalibrationScale,
     QuadratureBatch,
     apply_calibration,
     calibrate_vacuum,
-    integrate_pulse,
     pulse_areas,
     segment_pulses,
 )
@@ -48,10 +43,8 @@ from .states import (
     StateModel,
     WignerGrid,
     fidelity_pure,
-    fock_wavefunction,
     loss_channel,
     photon_statistics,
-    quadrature_pdf,
     sample_quadratures,
     state_density_matrix,
     wigner,

@@ -255,31 +255,27 @@ def averaged_allan(curves) -> AllanCurve:
     )
 
 
-def noise_spectrum(
-    trace, segment_len: int, sample_rate: float | None = None
-) -> SpectrumEstimate:
+def noise_spectrum(chunks, segment_len: int, sample_rate: float) -> SpectrumEstimate:
     """One-sided PSD averaged over non-overlapping rectangular segments.
 
-    ``trace`` is a :class:`TraceBuffer`, or with ``sample_rate`` given, an
-    iterable of sample chunks that make up the record in turn: a 2-D block
-    of pulse periods is read row by row, a segment may span chunks, and no
-    chunk is kept past its turn.  Samples past the last whole segment are
-    dropped.  Normalized so the integral of the PSD over frequency matches
-    the time-domain variance (the record mean is removed).
+    ``chunks`` is an iterable of sample chunks that make up the record in
+    turn: a 2-D block of pulse periods is read row by row, a segment may span
+    chunks, and no chunk is kept past its turn.  Samples past the last whole
+    segment are dropped.  Normalized so the integral of the PSD over
+    frequency matches the time-domain variance (the record mean is removed).
 
     Samples are centred on the first chunk's mean ``c`` into one buffer of
     ``SPECTRUM_BLOCK_SAMPLES``, whose segments are transformed together and
     their periodograms summed row by row in order.  Only the DC term depends
     on the centre: at the end each segment's DC term is moved to the exact
     record mean ``m``, by ``-segment_len * (m - c)``, and the squares are
-    summed in segment order.  A trace is one chunk, so ``c == m`` and its
-    PSD is, bit for bit, ``np.mean(np.abs(rfft(segments)) ** 2, axis=0)``
-    of the mean-removed trace, normalized.  Over pulse blocks the PSD is
-    within about 1e-15 relative of the assembled trace's, and within 2e-13
-    on every bin of a single-diode pulse train.
+    summed in segment order.  A whole trace is one chunk, ``[trace.samples]``,
+    so ``c == m`` and its PSD is, bit for bit,
+    ``np.mean(np.abs(rfft(segments)) ** 2, axis=0)`` of the mean-removed
+    trace, normalized.  Over pulse blocks the PSD is within about 1e-15
+    relative of the assembled trace's, and within 2e-13 on every bin of a
+    single-diode pulse train.
     """
-    if sample_rate is None:
-        trace, sample_rate = (trace.samples,), trace.sample_rate
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise ValueError("segment_len must be a power of two")
     per_block = max(1, SPECTRUM_BLOCK_SAMPLES // segment_len)
@@ -302,7 +298,7 @@ def noise_spectrum(
     center = None
     total = 0.0
     n = 0
-    for chunk in trace:
+    for chunk in chunks:
         x = np.asarray(chunk, dtype=float).reshape(-1)
         if not x.size:
             continue

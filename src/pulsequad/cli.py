@@ -363,7 +363,7 @@ def _spectrum(det: DetectorConfig, seed: int, segment_len: int, area: float | No
     vacuum signal areas if None, fed to it in pulse blocks as they are drawn,
     so the trace is never held."""
     if area is None:
-        areas = _signal_areas(det, StateModel.vacuum(), [0.0], SPECTRUM_PULSES, seed)[0]
+        areas = _signal_areas(det, StateModel.vacuum(), [0.0], SPECTRUM_PULSES, seed)
     else:
         areas = np.full(SPECTRUM_PULSES, area)
     blocks = _trace_blocks(det, areas, seed)
@@ -590,7 +590,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
 
 
 def run_trace_export(config: ExperimentConfig) -> None:
-    """Export the trace ``generate_trace`` would draw as CSV and raw binary.
+    """Export the trace that :func:`generate_areas` integrates as CSV and raw binary.
 
     Each writer draws the trace anew in pulse blocks and writes each block as
     it comes, so no trace is held.  A non-finite sample raises in the writer
@@ -601,7 +601,7 @@ def run_trace_export(config: ExperimentConfig) -> None:
     phases = config.phases.realize(n, _seeded_rng(config.seed, 0))
     head = (det.sample_rate, _trace_t0(det))
     with np.errstate(over="ignore", invalid="ignore"):
-        areas = _signal_areas(det, config.state, phases, n, seed)[0]
+        areas = _signal_areas(det, config.state, phases, n, seed)
         _atomic(out, "trace.csv", _stream_trace_csv, *head, _trace_blocks(det, areas, seed))
         blocks, count = _trace_blocks(det, areas, seed), n * det.samples_per_period
         _atomic(out, "trace.bin", _stream_trace_bin, *head, count, blocks)

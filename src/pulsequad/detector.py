@@ -24,16 +24,10 @@ __all__ = [
     "DriftModel",
     "DetectorConfig",
     "TraceBuffer",
-    "GroundTruth",
     "photons_per_pulse",
     "area_scale",
-    "generate_trace",
     "generate_areas",
-    "single_diode_trace",
-    "electronic_only_trace",
     "electronic_only_areas",
-    "write_trace_csv",
-    "write_trace_binary",
     "read_trace_binary",
 ]
 
@@ -142,14 +136,6 @@ class TraceBuffer:
             raise ValueError("trace contains non-finite samples")
         arr.setflags(write=False)
         object.__setattr__(self, "samples", arr)
-
-
-@dataclass(frozen=True)
-class GroundTruth:
-    """Per-pulse truth behind a simulated trace: quadratures and residual areas."""
-
-    quadratures: np.ndarray
-    baseline_areas: np.ndarray
 
 
 def photons_per_pulse(p_lo: float, wavelength: float, f_rep: float) -> float:
@@ -276,13 +262,6 @@ def _flat_samples(blocks):
         start += samples.size
 
 
-def _assemble_trace(config: DetectorConfig, areas: np.ndarray, seed: int) -> TraceBuffer:
-    samples = np.empty(areas.size * config.samples_per_period)
-    for k, x in _flat_samples(_trace_blocks(config, areas, seed)):
-        samples[k : k + x.size] = x
-    return TraceBuffer(config.sample_rate, _trace_t0(config), samples)
-
-
 def _block_areas(config: DetectorConfig, areas: np.ndarray, seed: int) -> np.ndarray:
     """Trapezoid area of every pulse period of the trace, integrated block
     by block as it is drawn, so the trace is never held."""
@@ -292,9 +271,9 @@ def _block_areas(config: DetectorConfig, areas: np.ndarray, seed: int) -> np.nda
 
 def _signal_areas(
     config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Noise-free pulse areas: quadratures sampled at ``DEFAULT_CUTOFF``, plus
-    drift and leakage; returned with those quadratures and the drift."""
+) -> np.ndarray:
+    """Noise-free pulse areas: quadratures sampled at ``DEFAULT_CUTOFF`` from
+    stream 0 of ``seed``, plus drift (its random walk from stream 1) and leakage."""
     # the batch, phases included, lives until return: freeing it before the
     # area arrays are drawn raised a characterize run's peak RSS by 1.1 MB
     batch = sample_quadratures(state, phases, n_pulses, _child_seed(seed, 0))
@@ -308,51 +287,27 @@ def _signal_areas(
             rng_walk.normal(0.0, config.drift.random_walk_sigma, n_pulses)
         )
 
-    return area_scale(config) * (x + baseline) + leakage_area(config), x, baseline
-
-
-def generate_trace(
-    config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int
-) -> tuple[TraceBuffer, GroundTruth]:
-    """Simulate a balanced-output voltage trace for ``n_pulses`` pulses.
-
-    Pulse k is centred at ``t_k = k / f_rep``; the trace starts half a
-    period earlier so every pulse window is complete.  Identical arguments
-    produce bit-identical traces; ``trace-export`` streams the same one.
-    """
-    areas, x, baseline = _signal_areas(config, state, phases, n_pulses, seed)
-    truth = GroundTruth(x, area_scale(config) * baseline + leakage_area(config))
-    return _assemble_trace(config, areas, seed), truth
+    return area_scale(config) * (x + baseline) + leakage_area(config)
 
 
 def generate_areas(
     config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int
 ) -> np.ndarray:
-    """Integrated pulse areas of the trace :func:`generate_trace` draws for
-    the same arguments, without holding that trace.
+    """Integrated pulse areas of the trace that ``trace-export`` writes for the
+    same arguments, synthesized and integrated ``BLOCK_PULSES`` periods at a
+    time and never held.
 
-    Equal, bit for bit, to ``pulse_areas(trace, segment_pulses(trace,
-    f_rep, 0.0, 1 / f_rep))`` of that trace; the trace is synthesized and
-    integrated ``BLOCK_PULSES`` periods at a time.
+    Pulse k is centred at ``k / f_rep``, half a period after the trace starts.
+    The areas equal, bit for bit, ``pulse_areas(trace, segment_pulses(trace,
+    f_rep, 0.0, 1 / f_rep))`` of that trace.
     """
-    areas = _signal_areas(config, state, phases, n_pulses, seed)[0]
+    areas = _signal_areas(config, state, phases, n_pulses, seed)
     return _block_areas(config, areas, seed)
 
 
-def single_diode_trace(config: DetectorConfig, n_pulses: int, seed: int) -> TraceBuffer:
-    """Unsubtracted single-diode trace: equal pulses carrying half the LO power."""
-    areas = np.full(n_pulses, single_diode_pulse_area(config))
-    return _assemble_trace(config, areas, seed)
-
-
-def electronic_only_trace(config: DetectorConfig, n_pulses: int, seed: int) -> TraceBuffer:
-    """Dark trace spanning ``n_pulses`` periods: electronic noise only."""
-    return _assemble_trace(config, np.zeros(n_pulses), seed)
-
-
 def electronic_only_areas(config: DetectorConfig, n_pulses: int, seed: int) -> np.ndarray:
-    """Integrated pulse areas of :func:`electronic_only_trace`, drawn block
-    by block like :func:`generate_areas`."""
+    """Integrated pulse areas of a dark trace of ``n_pulses`` periods,
+    electronic noise only, drawn block by block like :func:`generate_areas`."""
     return _block_areas(config, np.zeros(n_pulses), seed)
 
 
@@ -371,22 +326,10 @@ def _stream_trace_bin(sample_rate: float, t0: float, count: int, blocks, path) -
             fh.write(np.ascontiguousarray(x, dtype="<f8"))
 
 
-def write_trace_csv(trace: TraceBuffer, path) -> None:
-    """Write ``time_s,voltage_v`` rows, one per sample."""
-    _stream_trace_csv(trace.sample_rate, trace.t0, [trace.samples], path)
-
-
-def write_trace_binary(trace: TraceBuffer, path) -> None:
-    """Raw little-endian export: 32-byte header then float64 samples.
-
-    Header layout: magic ``PQTRACE2``, sample rate as float64, sample count
-    as uint64, start time ``t0`` as float64.
-    """
-    _stream_trace_bin(trace.sample_rate, trace.t0, trace.samples.size, [trace.samples], path)
-
-
 def read_trace_binary(path) -> TraceBuffer:
-    """Read a trace written by :func:`write_trace_binary`.
+    """Read a ``trace.bin`` as ``trace-export`` writes it: magic ``PQTRACE2``,
+    float64 sample rate, uint64 sample count, float64 ``t0``, then the float64
+    samples, all little-endian.
 
     Also reads the older 24-byte ``PQTRACE1`` header, which stores no start
     time; such a trace gets ``t0 = 0``.  Every malformed header raises

@@ -15,7 +15,6 @@ __all__ = [
     "CalibrationScale",
     "QuadratureBatch",
     "segment_pulses",
-    "integrate_pulse",
     "pulse_areas",
     "calibrate_vacuum",
     "apply_calibration",
@@ -119,14 +118,6 @@ def _trapezoid_rows(rows: np.ndarray, sample_rate: float) -> np.ndarray:
     weights = np.full(n_w, dt)
     weights[0] = weights[-1] = 0.5 * dt
     return np.einsum("ij,j->i", rows, weights)
-
-
-def integrate_pulse(window, sample_rate: float) -> float:
-    """Trapezoidal integral of one voltage window, in V*s."""
-    w = np.asarray(window, dtype=float)
-    if w.size < 2:
-        raise ValueError("window must contain at least two samples")
-    return float(_trapezoid_rows(w[None, :], sample_rate)[0])
 
 
 def pulse_areas(trace, windows: np.ndarray) -> np.ndarray:

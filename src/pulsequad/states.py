@@ -35,11 +35,9 @@ __all__ = [
     "StateModel",
     "WignerGrid",
     "PhotonStatistics",
-    "fock_wavefunction",
     "fock_wavefunctions",
     "coherent_amplitudes",
     "pure_state_vector",
-    "quadrature_pdf",
     "sample_quadratures",
     "loss_channel",
     "apply_loss_adjoint",
@@ -209,15 +207,6 @@ def fock_wavefunctions(cutoff: int, x) -> np.ndarray:
     return psi
 
 
-def fock_wavefunction(n: int, x):
-    """Real amplitude ``psi_n(x)`` of the n-photon quadrature wavefunction."""
-    if n < 0:
-        raise ValueError("photon number must be nonnegative")
-    scalar = np.isscalar(x)
-    out = fock_wavefunctions(n + 1, x)[n]
-    return float(out[0]) if scalar else out
-
-
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     """Number-basis amplitudes of ``|alpha>`` renormalized at the cutoff."""
     a = complex(alpha)
@@ -235,22 +224,6 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     vec = np.exp(log_amp - log_amp.max()) * np.exp(1j * n * np.angle(a))
     vec /= np.linalg.norm(vec)
     return vec
-
-
-def quadrature_pdf(rho: DensityMatrix, theta: float, x):
-    """Probability density of the quadrature at LO phase ``theta``.
-
-    ``p(x|theta) = sum_mn rho_mn exp(i(n-m)theta) psi_m(x) psi_n(x)``,
-    clamped at zero against numerical round-off.
-    """
-    scalar = np.isscalar(x)
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    psi = fock_wavefunctions(rho.dim, xs)
-    phase = np.exp(1j * np.arange(rho.dim) * theta)
-    rotated = (phase.conj()[:, None] * rho.elements) * phase[None, :]
-    p = np.einsum("mx,mn,nx->x", psi, rotated, psi).real
-    p = np.maximum(p, 0.0)
-    return float(p[0]) if scalar else p
 
 
 def _loss_amplitudes(dim: int, eta: float) -> np.ndarray:
@@ -512,31 +485,38 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     ``r^2 = |a|^2``.  Each order's ``rho``-weighted sum of kernels without
     ``a^d``, ``S_d``, is evaluated once per distinct ``r^2`` of any finite
     axes; each point then sums ``Re S_d a^d`` by Horner's rule in ``a``.
-    The diagonal kernels at the origin alternate as ``(-1)^n / pi``, so
-    negativity at the origin witnesses odd-photon population.
+    Where ``exp(-r^2/2)`` underflows, W is 0.  The diagonal kernels at the
+    origin alternate as ``(-1)^n / pi``, so negativity at the origin
+    witnesses odd-photon population.
     """
     x_axis = np.asarray(x_axis, dtype=float)
     p_axis = np.asarray(p_axis, dtype=float)
     if not (np.all(np.isfinite(x_axis)) and np.all(np.isfinite(p_axis))):
         raise ValueError("wigner axes must be finite")
     X, P = np.meshgrid(x_axis, p_axis, indexing="ij")
-    radii, where = np.unique(2.0 * (X * X + P * P), return_inverse=True)
+    with np.errstate(over="ignore"):  # r^2 or |a| past the float range is inf
+        radii, where = np.unique(2.0 * (X * X + P * P), return_inverse=True)
+        amp = math.sqrt(2.0) * (X + 1j * P)
+    # exp(-r^2/2) underflows to 0 on a suffix of the ascending radii, where W is
+    # 0: the Laguerre values, which can overflow there, are evaluated before it
+    gauss = np.exp(-0.5 * radii)
+    live = np.count_nonzero(gauss)
     dim, d = rho.dim, np.arange(rho.dim)[:, None]
     # L_m^(d) by m L_m = (2m - 1 + d - r^2) L_{m-1} - (m - 1 + d) L_{m-2} from
     # L_0 = 1, for the orders d < dim - m with a kernel m; an order d > 0 is
     # doubled, since rho_{m+d,m} adds the conjugate term
-    lag_prev, lag = np.zeros((dim, radii.size)), np.ones((dim, radii.size))
+    lag_prev, lag = np.zeros((dim, live)), np.ones((dim, live))
     radial = np.zeros((dim, radii.size), dtype=complex)
     for m in range(dim):
         d, lag, lag_prev = d[: dim - m], lag[: dim - m], lag_prev[: dim - m]
         if m > 0:
-            lag_prev, lag = lag, ((2 * m - 1 + d - radii) * lag - (m - 1 + d) * lag_prev) / m
+            lag_prev, lag = lag, ((2 * m - 1 + d - radii[:live]) * lag - (m - 1 + d) * lag_prev) / m
         norm = [math.sqrt(math.factorial(m) / math.factorial(m + k)) for k in range(d.size)]
         weight = np.where(d[:, 0] > 0, 2.0, 1.0) * (-1.0) ** m / math.pi * norm
-        radial[: d.size] += (weight * rho.elements[m, m:])[:, None] * lag
-    radial *= np.exp(-0.5 * radii)
+        radial[: d.size, :live] += (weight * rho.elements[m, m:])[:, None] * lag
+    radial *= gauss
     where = where.reshape(X.shape)
-    amp = math.sqrt(2.0) * (X + 1j * P)
+    amp[where >= live] = 0.0  # W is 0 there, and an inf amp would give inf * 0
     total = radial[dim - 1].take(where)
     for order in reversed(range(dim - 1)):
         total *= amp

@@ -13,9 +13,10 @@ import pytest
 import pulsequad as pq
 from pulsequad.cli import main
 from pulsequad.cli import _thinned_vacuum_blocks, _allan_tau_grid, _child_seed
-from pulsequad.states import coherent_amplitudes, quadrature_pdf, sample_quadratures
+from pulsequad.states import coherent_amplitudes, sample_quadratures
 from pulsequad.tomography import mle_reconstruct
 
+from reference import generate_trace, quadrature_pdf
 from test_states import random_density_matrix
 
 
@@ -25,7 +26,7 @@ def check(criterion, ok, detail):
 
 
 def record_batch(cfg, n, seed):
-    trace, _ = pq.generate_trace(cfg, pq.StateModel.vacuum(), [0.0], n, seed=seed)
+    trace, _ = generate_trace(cfg, pq.StateModel.vacuum(), [0.0], n, seed=seed)
     windows = pq.segment_pulses(trace, cfg.f_rep, 0.0, 1.0 / cfg.f_rep)
     return pq.pulse_areas(trace, windows)
 

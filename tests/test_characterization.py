@@ -36,15 +36,14 @@ from pulsequad.detector import (
     DetectorConfig,
     DriftModel,
     TraceBuffer,
-    _assemble_trace,
     _signal_areas,
     _trace_blocks,
-    generate_trace,
     single_diode_pulse_area,
-    single_diode_trace,
 )
 from pulsequad.extraction import QuadratureBatch
 from pulsequad.states import StateModel
+
+from reference import _assemble_trace, generate_trace, single_diode_trace
 
 QUIET = dict(
     elec_noise_area_var=0.0,
@@ -339,7 +338,7 @@ class TestNoiseSpectrum:
         trace = TraceBuffer(
             sample_rate=fs, t0=0.0, samples=amp * np.sin(2 * np.pi * (k * fs / seg) * t)
         )
-        spec = noise_spectrum(trace, seg)
+        spec = noise_spectrum([trace.samples], seg, trace.sample_rate)
         assert spec.psd[k] * spec.resolution_hz == pytest.approx(amp**2 / 2, rel=0.01)
         others = np.delete(spec.psd, k)
         assert np.max(others) < 1e-6 * spec.psd[k]
@@ -352,7 +351,7 @@ class TestNoiseSpectrum:
         trace = TraceBuffer(
             sample_rate=fs, t0=0.0, samples=rng.normal(0, sigma, seg * n_seg)
         )
-        spec = noise_spectrum(trace, seg)
+        spec = noise_spectrum([trace.samples], seg, trace.sample_rate)
         inner = spec.psd[1:-1]
         assert np.mean(inner) == pytest.approx(2 * sigma**2 / fs, rel=0.05)
         scatter = np.std(inner) / np.mean(inner)
@@ -370,20 +369,21 @@ class TestNoiseSpectrum:
         spec = np.fft.rfft(x.reshape(n_seg, segment_len), axis=1)
         psd = np.mean(np.abs(spec) ** 2, axis=0) / (2e9 * segment_len)
         psd[1:-1] *= 2.0
-        assert np.array_equal(noise_spectrum(trace, segment_len).psd, psd)
+        spectrum = noise_spectrum([trace.samples], segment_len, trace.sample_rate)
+        assert np.array_equal(spectrum.psd, psd)
 
     def test_parseval(self):
         rng = np.random.default_rng(6)
         samples = np.cumsum(rng.normal(size=4096))  # correlated, broadband
         trace = TraceBuffer(sample_rate=1e6, t0=0.0, samples=samples)
-        spec = noise_spectrum(trace, 1024)
+        spec = noise_spectrum([trace.samples], 1024, trace.sample_rate)
         integral = np.sum(spec.psd) * spec.resolution_hz
         assert integral == pytest.approx(np.var(samples), rel=0.05)
 
     def test_shot_noise_follows_gaussian_pulse_envelope(self):
         cfg = DetectorConfig(pulse_shape="gaussian", **QUIET)
         trace, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], 40_960, seed=7)
-        spec = noise_spectrum(trace, 2048)
+        spec = noise_spectrum([trace.samples], 2048, trace.sample_rate)
         sigma = cfg.fwhm_pulse / (2 * math.sqrt(2 * math.log(2)))
         envelope = np.exp(-4 * np.pi**2 * sigma**2 * spec.freqs**2)
         sel = np.flatnonzero((spec.freqs > 0) & (envelope > 0.1))
@@ -397,12 +397,12 @@ class TestNoiseSpectrum:
     def test_segment_length_must_be_power_of_two(self):
         trace = TraceBuffer(sample_rate=1e6, t0=0.0, samples=np.zeros(1000))
         with pytest.raises(ValueError):
-            noise_spectrum(trace, 300)
+            noise_spectrum([trace.samples], 300, trace.sample_rate)
 
     def test_trace_shorter_than_segment(self):
         trace = TraceBuffer(sample_rate=1e6, t0=0.0, samples=np.zeros(100))
         with pytest.raises(ValueError):
-            noise_spectrum(trace, 128)
+            noise_spectrum([trace.samples], 128, trace.sample_rate)
 
 
 class TestChunkedSpectrum:
@@ -413,11 +413,12 @@ class TestChunkedSpectrum:
         det = DetectorConfig()
         n = SPECTRUM_PULSES
         areas = {
-            "vacuum": lambda: _signal_areas(det, StateModel.vacuum(), [0.0], n, 5)[0],
+            "vacuum": lambda: _signal_areas(det, StateModel.vacuum(), [0.0], n, 5),
             "dark": lambda: np.zeros(n),
             "single diode": lambda: np.full(n, single_diode_pulse_area(det)),
         }[record]()
-        whole = noise_spectrum(_assemble_trace(det, areas, 5), segment_len)
+        trace = _assemble_trace(det, areas, 5)
+        whole = noise_spectrum([trace.samples], segment_len, trace.sample_rate)
         blocks = _trace_blocks(det, areas, 5)
         streamed = noise_spectrum(blocks, segment_len, sample_rate=det.sample_rate)
         assert np.array_equal(streamed.freqs, whole.freqs)
@@ -429,7 +430,7 @@ class TestChunkedSpectrum:
         samples = 3.0 + rng.normal(size=40 * 256 + 100)
         cuts = np.sort(rng.integers(0, samples.size, 30))
         chunks = np.split(samples, cuts)  # empty and sub-segment chunks too
-        whole = noise_spectrum(TraceBuffer(sample_rate=1e6, t0=0.0, samples=samples), 256)
+        whole = noise_spectrum([samples], 256, 1e6)
         streamed = noise_spectrum(chunks, 256, sample_rate=1e6)
         assert np.max(np.abs(streamed.psd / whole.psd - 1)) <= 1e-12
 
@@ -464,7 +465,7 @@ class TestBandwidth:
         cfg = DetectorConfig(pulse_shape="gaussian", **QUIET)
         trace, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], 40_960, seed=8)
         zero = electronic_zero(cfg, trace)
-        bw = bandwidth_minus3db(noise_spectrum(trace, 1024), zero)
+        bw = bandwidth_minus3db(noise_spectrum([trace.samples], 1024, trace.sample_rate), zero)
         assert bw == pytest.approx(0.3126 / cfg.fwhm_pulse, rel=0.08)
 
     def test_rectangular_pulse_half_power_point(self):
@@ -472,7 +473,7 @@ class TestBandwidth:
         cfg = DetectorConfig(**QUIET)
         trace, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], 40_960, seed=9)
         zero = electronic_zero(cfg, trace)
-        bw = bandwidth_minus3db(noise_spectrum(trace, 1024), zero)
+        bw = bandwidth_minus3db(noise_spectrum([trace.samples], 1024, trace.sample_rate), zero)
         assert bw == pytest.approx(0.4423 / cfg.fwhm_pulse, rel=0.08)
 
     def test_halving_fwhm_doubles_bandwidth(self):
@@ -481,12 +482,13 @@ class TestBandwidth:
             cfg = DetectorConfig(fwhm_pulse=fwhm, **QUIET)
             trace, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], 40_960, seed=10)
             zero = electronic_zero(cfg, trace)
-            widths[fwhm] = bandwidth_minus3db(noise_spectrum(trace, 1024), zero)
+            spec = noise_spectrum([trace.samples], 1024, trace.sample_rate)
+            widths[fwhm] = bandwidth_minus3db(spec, zero)
         assert widths[2.75e-9] == pytest.approx(2 * widths[5.5e-9], rel=0.15)
 
 
 def electronic_zero(cfg, trace):
-    spec = noise_spectrum(trace, 1024)
+    spec = noise_spectrum([trace.samples], 1024, trace.sample_rate)
     return SpectrumEstimate(
         freqs=spec.freqs, psd=np.zeros_like(spec.psd), resolution_hz=spec.resolution_hz
     )
@@ -523,8 +525,8 @@ class TestCmrr:
         n = 20_972
         balanced, _ = generate_trace(cfg, StateModel.vacuum(), [0.0], n, seed=11)
         blocked = single_diode_trace(cfg, n, seed=12)
-        bal = noise_spectrum(balanced, 2**15)
-        blk = noise_spectrum(blocked, 2**15)
+        bal = noise_spectrum([balanced.samples], 2**15, balanced.sample_rate)
+        blk = noise_spectrum([blocked.samples], 2**15, blocked.sample_rate)
         assert cmrr_db(bal, blk, cfg.f_rep) == pytest.approx(63.0, abs=1.0)
 
 

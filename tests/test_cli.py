@@ -1,24 +1,28 @@
 """Command-line front end: config validation, artifacts, reproducibility."""
 
 import gc
+import importlib
 import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
 import time
 import tracemalloc
+import types
 from dataclasses import fields
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pulsequad
-from pulsequad import cli
+from pulsequad import cli, states
 from pulsequad.cli import (
     RUN_KINDS,
     ConfigError,
@@ -36,11 +40,10 @@ from pulsequad.detector import (
     DriftModel,
     _child_seed,
     _seeded_rng,
-    generate_trace,
-    write_trace_binary,
-    write_trace_csv,
 )
 from pulsequad.states import StateModel
+
+from reference import generate_trace, write_trace_binary, write_trace_csv
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -896,3 +899,87 @@ def test_trace_export_peak_memory(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "out" / "trace.bin").stat().st_size == 32 + 8 * 25 * 40_000
     assert peak < 12 * 2**20
+
+
+LAYER_MODULES = ("detector", "extraction", "characterization", "states", "tomography", "cli")
+
+# the four kinds of run that reach the library: characterize, a phase-swept
+# coherent state, a lossy mixture at random phases, and a trace export
+SURFACE_RUNS = [
+    {"run": "characterize", "n_pulses": 2000},
+    {
+        "run": "tomography",
+        "n_pulses": 700,
+        "state": {"kind": "coherent", "alpha": 0.86},
+        "phases": {"kind": "sweep", "count": 7},
+    },
+    {
+        "run": "tomography",
+        "n_pulses": 500,
+        "state": {
+            "kind": "mixture",
+            "weights": [0.6, 0.4],
+            "components": [{"kind": "fock", "n": 1}, {"kind": "coherent", "alpha": 0.5}],
+            "efficiency": 0.8,
+        },
+        "phases": {"kind": "random"},
+        "tomography": {"cutoff": 5, "eta": 0.86},
+    },
+    {"run": "trace-export", "n_pulses": 50},
+]
+
+
+def readme_library_names():
+    """The backquoted names that head the items of the README's "Library"
+    section (each item's text up to its first colon)."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n#", 1)[0]
+    heads = re.findall(r"^- (.*?):", section, flags=re.MULTILINE)
+    return {name for head in heads for name in re.findall(r"`([\w.]+)`", head)}
+
+
+def public_callables():
+    """``{name: function}`` for every function in a layer module's ``__all__`` and
+    every classmethod of a class there, named ``Class.method``; classes apart."""
+    functions, classes = {}, set()
+    for layer in LAYER_MODULES:
+        module = importlib.import_module(f"pulsequad.{layer}")
+        for attr in module.__all__:
+            obj = getattr(module, attr)
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue  # a re-export is checked where it is defined
+            if isinstance(obj, types.FunctionType):
+                functions[attr] = obj
+            elif isinstance(obj, type):
+                classes.add(attr)
+                for name, member in vars(obj).items():
+                    if isinstance(member, classmethod):
+                        functions[f"{attr}.{name}"] = member.__func__
+    return functions, classes
+
+
+def test_public_surface_is_what_runs_reach(tmp_path, monkeypatch):
+    # a phase-free sampler table kept from an earlier test would skip its build
+    monkeypatch.setattr(states, "_PHASE_FREE_TABLES", {})
+    reached = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            reached.add(frame.f_code)
+
+    threading.setprofile(profile)  # characterize runs a helper thread
+    sys.setprofile(profile)
+    try:
+        for i, doc in enumerate(SURFACE_RUNS):
+            doc = {**doc, "out_dir": str(tmp_path / f"out{i}")}
+            assert main([doc["run"], "--config", write_config(tmp_path, doc, f"{i}.json")]) == 0
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    functions, classes = public_callables()
+    unreached = {name for name, fn in functions.items() if fn.__code__ not in reached}
+    listed = readme_library_names()
+    # what no run reaches is listed with its reason, and what is listed is public
+    # and reached by no run
+    assert sorted(unreached - listed) == []
+    assert sorted(listed - unreached - classes) == []

@@ -16,19 +16,22 @@ from pulsequad.detector import (
     DriftModel,
     area_scale,
     electronic_only_areas,
-    electronic_only_trace,
     generate_areas,
-    generate_trace,
     leakage_area,
     photons_per_pulse,
     read_trace_binary,
     single_diode_pulse_area,
+)
+from pulsequad.extraction import pulse_areas, segment_pulses
+from pulsequad.states import StateModel
+
+from reference import (
+    electronic_only_trace,
+    generate_trace,
     single_diode_trace,
     write_trace_binary,
     write_trace_csv,
 )
-from pulsequad.extraction import pulse_areas, segment_pulses
-from pulsequad.states import StateModel
 
 QUIET = dict(
     elec_noise_area_var=0.0,

@@ -12,7 +12,6 @@ from pulsequad.detector import (
     DriftModel,
     TraceBuffer,
     area_scale,
-    generate_trace,
 )
 from pulsequad.extraction import (
     CalibrationScale,
@@ -20,12 +19,13 @@ from pulsequad.extraction import (
     QuadratureBatch,
     apply_calibration,
     calibrate_vacuum,
-    integrate_pulse,
     pulse_areas,
     segment_pulses,
     write_batch_csv,
 )
 from pulsequad.states import StateModel
+
+from reference import generate_trace, integrate_pulse
 
 
 def make_trace(n_samples, fs=2e9, t0=-6e-9, fill=0.0):

@@ -21,15 +21,15 @@ from pulsequad.states import (
     apply_loss_adjoint,
     coherent_amplitudes,
     fidelity_pure,
-    fock_wavefunction,
     fock_wavefunctions,
     loss_channel,
     photon_statistics,
-    quadrature_pdf,
     sample_quadratures,
     state_density_matrix,
     wigner,
 )
+
+from reference import quadrature_pdf
 
 
 @pytest.fixture(autouse=True)
@@ -47,6 +47,16 @@ def random_density_matrix(dim, seed):
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return DensityMatrix(rho / rho.trace().real)
+
+
+def fock_wavefunction(n, x):
+    """Real amplitude ``psi_n(x)`` of the n-photon quadrature wavefunction:
+    row ``n`` of ``fock_wavefunctions``."""
+    if n < 0:
+        raise ValueError("photon number must be nonnegative")
+    scalar = np.isscalar(x)
+    out = fock_wavefunctions(n + 1, x)[n]
+    return float(out[0]) if scalar else out
 
 
 class TestWavefunctions:
@@ -354,6 +364,18 @@ class TestWigner:
     def test_cli_axis_holds_an_exact_zero_at_its_centre(self):
         assert cli_wigner_axis()[WIGNER_POINTS // 2] == 0.0
 
+    @pytest.mark.parametrize("dim", [10, 20])
+    @pytest.mark.parametrize("far", [1e6, 1e10, 1e15, 1e20, 1e100, 1e200, 1.7e308])
+    def test_zero_where_the_gaussian_underflows(self, dim, far):
+        # exp(-r^2/2) underflows to 0 there while L_m^(d)(r^2) can overflow to
+        # inf (from 1e10 at cutoff 20, from 1e20 at cutoff 10), and inf * 0 is NaN
+        rho = random_density_matrix(dim, 40 + dim)
+        axis = [-far, 0.0, far]
+        values = wigner(rho, axis, axis).values
+        assert values[1, 1] == wigner(rho, [0.0], [0.0]).values[0, 0] != 0.0
+        values[1, 1] = 0.0
+        assert np.all(values == 0.0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_axis_rejected(self, bad):
         rho = random_density_matrix(3, 15)
@@ -477,7 +499,7 @@ class TestCoherentAmplitudes:
 
 def per_phase_reference(state, phases, n, seed, cutoff):
     """The inversion the harmonic table replaced: for each distinct phase, the
-    public ``quadrature_pdf`` on the sampling grid, its trapezoid CDF, and
+    reference ``quadrature_pdf`` on the sampling grid, its trapezoid CDF, and
     ``np.interp`` of the same uniforms."""
     phases = np.broadcast_to(np.asarray(phases, dtype=float), (n,))
     rho = state_density_matrix(state, cutoff)

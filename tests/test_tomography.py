@@ -135,7 +135,7 @@ class TestMleReconstruct:
         u = rng.random(n)
         values = np.empty(n)
         x_grid = np.linspace(-8, 8, 2**14)
-        from pulsequad.states import quadrature_pdf
+        from reference import quadrature_pdf
 
         for theta in np.unique(phases):
             pdf = quadrature_pdf(truth, theta, x_grid)
