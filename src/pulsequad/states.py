@@ -58,6 +58,7 @@ SAMPLE_GRID_HALFSPAN = 8.0
 # beyond +-8, level 20 2.9e-7 and level 21 1.2e-6
 SAMPLE_GRID_MAX_CUTOFF = 20
 SAMPLE_GRID_POINTS = 2**14  # a power of two: bisection steps 2**13 .. 1 reach every index
+SAMPLE_TABLE_BLOCK = 2**11  # grid points per wavefunction block of a table build
 SAMPLE_BLOCK_ENTRIES = 2**12  # samples x table columns inverted at a time: bounds temporaries
 SAMPLE_GUIDE_BUCKETS = 2**14  # guide entries over the range of a phase-free CDF
 SAMPLE_GUIDE_STEPS = 2  # steps forward from a guide entry before searchsorted takes over
@@ -333,7 +334,9 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     ``table @ cos(order * theta + shift)``.  Columns whose ``rho`` diagonal
     part is identically zero are left out: a phase-covariant state has one.
     Wavefunctions are built only up to the highest Fock level with a
-    nonzero row or column of ``rho`` (one level for vacuum).
+    nonzero row or column of ``rho`` (one level for vacuum), and only over
+    one block of ``SAMPLE_TABLE_BLOCK`` grid points at a time; each block's
+    cumulative sums carry on from the last entry of the one before.
     Returns ``(table, order, shift)`` with ``table`` of shape ``(G, R)``.
     """
     nonzero = rho.elements != 0
@@ -343,13 +346,24 @@ def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):
     diags = [np.diagonal(elements, offset=int(d)) for d in order]
     coeffs = [diag.imag if s else diag.real for diag, s in zip(diags, shift)]
     keep = [k for k, c in enumerate(coeffs) if c.any()]
-    psi = fock_wavefunctions(dim, grid)
     dx = grid[1] - grid[0]
     table = np.zeros((grid.size, len(keep)))
-    for r, k in enumerate(keep):
-        d = int(order[k])
-        q = weight[k] * (coeffs[k] @ (psi[: dim - d] * psi[d:]))
-        np.cumsum(0.5 * (q[1:] + q[:-1]) * dx, out=table[1:, r])
+    edge = np.zeros(len(keep))  # each column's density at the previous block's last point
+    # blocks start at multiples of the block, as whole-grid gemv rows are grouped,
+    # and a remainder shorter than a block joins the last one: the same bits
+    starts = range(0, max(grid.size - SAMPLE_TABLE_BLOCK, 0) + 1, SAMPLE_TABLE_BLOCK)
+    for a, b in zip(starts, [*starts[1:], grid.size]):
+        psi = fock_wavefunctions(dim, grid[a:b])
+        for r, k in enumerate(keep):
+            d = int(order[k])
+            q = weight[k] * (coeffs[k] @ (psi[: dim - d] * psi[d:]))
+            if a:  # the block's first step starts at the previous block's last point
+                q = np.concatenate(([edge[r]], q))
+            edge[r] = q[-1]
+            steps = 0.5 * (q[1:] + q[:-1]) * dx
+            if a:  # and its sum carries on from the previous block's last entry
+                steps = np.concatenate(([table[a - 1, r]], steps))
+            np.cumsum(steps, out=table[max(a - 1, 1) : b, r])
     return table, order[keep], shift[keep]
 
 
@@ -484,7 +498,8 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     L_m^(d)(r^2) exp(-r^2/2) / pi`` with ``a = sqrt(2) (x + i p)`` and
     ``r^2 = |a|^2``.  Each order's ``rho``-weighted sum of kernels without
     ``a^d``, ``S_d``, is evaluated once per distinct ``r^2`` of any finite
-    axes; each point then sums ``Re S_d a^d`` by Horner's rule in ``a``.
+    axes, one order at a time from the highest, and each point takes one
+    step of Horner's rule in ``a`` per order to sum ``Re S_d a^d``.
     Where ``exp(-r^2/2)`` underflows, W is 0.  The diagonal kernels at the
     origin alternate as ``(-1)^n / pi``, so negativity at the origin
     witnesses odd-photon population.
@@ -493,34 +508,35 @@ def wigner(rho: DensityMatrix, x_axis, p_axis) -> WignerGrid:
     p_axis = np.asarray(p_axis, dtype=float)
     if not (np.all(np.isfinite(x_axis)) and np.all(np.isfinite(p_axis))):
         raise ValueError("wigner axes must be finite")
-    X, P = np.meshgrid(x_axis, p_axis, indexing="ij")
+    x, p = x_axis.reshape(-1, 1), p_axis.reshape(1, -1)  # broadcast to the (x, p) grid
     with np.errstate(over="ignore"):  # r^2 or |a| past the float range is inf
-        radii, where = np.unique(2.0 * (X * X + P * P), return_inverse=True)
-        amp = math.sqrt(2.0) * (X + 1j * P)
+        radii, where = np.unique(2.0 * (x * x + p * p), return_inverse=True)
+        amp = math.sqrt(2.0) * (x + 1j * p)
     # exp(-r^2/2) underflows to 0 on a suffix of the ascending radii, where W is
     # 0: the Laguerre values, which can overflow there, are evaluated before it
     gauss = np.exp(-0.5 * radii)
     live = np.count_nonzero(gauss)
-    dim, d = rho.dim, np.arange(rho.dim)[:, None]
-    # L_m^(d) by m L_m = (2m - 1 + d - r^2) L_{m-1} - (m - 1 + d) L_{m-2} from
-    # L_0 = 1, for the orders d < dim - m with a kernel m; an order d > 0 is
-    # doubled, since rho_{m+d,m} adds the conjugate term
-    lag_prev, lag = np.zeros((dim, live)), np.ones((dim, live))
-    radial = np.zeros((dim, radii.size), dtype=complex)
-    for m in range(dim):
-        d, lag, lag_prev = d[: dim - m], lag[: dim - m], lag_prev[: dim - m]
-        if m > 0:
-            lag_prev, lag = lag, ((2 * m - 1 + d - radii[:live]) * lag - (m - 1 + d) * lag_prev) / m
-        norm = [math.sqrt(math.factorial(m) / math.factorial(m + k)) for k in range(d.size)]
-        weight = np.where(d[:, 0] > 0, 2.0, 1.0) * (-1.0) ** m / math.pi * norm
-        radial[: d.size, :live] += (weight * rho.elements[m, m:])[:, None] * lag
-    radial *= gauss
-    where = where.reshape(X.shape)
+    r2 = radii[:live]
+    where = where.reshape(amp.shape)
     amp[where >= live] = 0.0  # W is 0 there, and an inf amp would give inf * 0
-    total = radial[dim - 1].take(where)
-    for order in reversed(range(dim - 1)):
-        total *= amp
-        total += radial[order].take(where)
+    for d in reversed(range(rho.dim)):
+        # L_m^(d) by m L_m = (2m - 1 + d - r^2) L_{m-1} - (m - 1 + d) L_{m-2} from
+        # L_0 = 1, for the kernels m < dim - d; an order d > 0 is doubled, since
+        # rho_{m+d,m} adds the conjugate term
+        lag_prev, lag = np.zeros(live), np.ones(live)
+        radial = np.zeros(radii.size, dtype=complex)
+        for m in range(rho.dim - d):
+            if m > 0:
+                lag_prev, lag = lag, ((2 * m - 1 + d - r2) * lag - (m - 1 + d) * lag_prev) / m
+            norm = math.sqrt(math.factorial(m) / math.factorial(m + d))
+            weight = (2.0 if d > 0 else 1.0) * (-1.0) ** m / math.pi * norm
+            radial[:live] += (weight * rho.elements[m, m + d]) * lag
+        radial *= gauss
+        if d == rho.dim - 1:
+            total = radial.take(where)
+        else:  # one Horner step in a
+            total *= amp
+            total += radial.take(where)
     return WignerGrid(x_axis=x_axis, p_axis=p_axis, values=total.real.copy())
 
 

@@ -41,6 +41,20 @@ def cold_sampler():
     states._PHASE_FREE_TABLES.clear()
 
 
+@pytest.fixture
+def wavefunction_calls(monkeypatch):
+    """``(levels, points)`` of every ``fock_wavefunctions`` call the sampler makes."""
+    calls = []
+    original = states.fock_wavefunctions
+
+    def counting(n_levels, x):
+        calls.append((n_levels, np.size(x)))
+        return original(n_levels, x)
+
+    monkeypatch.setattr(states, "fock_wavefunctions", counting)
+    return calls
+
+
 def random_density_matrix(dim, seed):
     """Ginibre-random full-rank density matrix."""
     rng = np.random.default_rng(seed)
@@ -376,6 +390,20 @@ class TestWigner:
         values[1, 1] = 0.0
         assert np.all(values == 0.0)
 
+    def test_cli_grid_peak_memory(self):
+        # one order's radial sums at a time: 0.67 MiB at cutoff 20, where the
+        # Laguerre arrays of all orders at once peaked at 3.18 MiB
+        rho = random_density_matrix(20, 60)
+        axis = cli_wigner_axis()
+        wigner(rho, axis, axis)
+        tracemalloc.start()
+        try:
+            wigner(rho, axis, axis)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.0 * 2**20
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_axis_rejected(self, bad):
         rho = random_density_matrix(3, 15)
@@ -572,19 +600,12 @@ class TestSampleQuadratures:
             sample_quadratures(StateModel.vacuum(), [0.0, phase], 2, seed=0)
 
     @pytest.mark.parametrize("distinct", [1, 1000])
-    def test_one_wavefunction_table_per_call(self, monkeypatch, distinct):
-        # a per-phase table would call fock_wavefunctions once per distinct phase
-        calls = []
-        original = states.fock_wavefunctions
-
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(states, "fock_wavefunctions", counting)
+    def test_one_wavefunction_table_per_call(self, wavefunction_calls, distinct):
+        # a per-phase table would evaluate the grid once per distinct phase;
+        # the one table evaluates each grid point once, block by block
         phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, distinct)
         sample_quadratures(StateModel.coherent(0.6 - 0.3j), phases, 1000, seed=8)
-        assert len(calls) == 1
+        assert sum(points for _, points in wavefunction_calls) == SAMPLE_GRID_POINTS
 
     # at the largest size each call is one block; below it the blocks are
     # whole groups of BLAS matrix-vector rows.  Blocks of 215 rows, 2**12
@@ -621,10 +642,26 @@ class TestSampleQuadratures:
             tracemalloc.stop()
         assert peak < 2.5 * 2**20
 
+    def test_random_phase_sampler_peak_memory(self):
+        # the table is built over grid blocks of SAMPLE_TABLE_BLOCK points:
+        # 1.78 MiB, of which the (2**14, 10) table is 1.25 MiB; a whole-grid
+        # wavefunction stack and its products peaked at 4.01 MiB
+        state = StateModel.coherent(0.86)
+        phases = np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, 1000)
+        sample_quadratures(state, phases, 1000, seed=13)
+        tracemalloc.start()
+        try:
+            sample_quadratures(state, phases, 1000, seed=13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 2**20
+
 
 def full_cutoff_harmonics(rho, grid):
-    """The cumulative harmonic table before support trimming: wavefunctions
-    and harmonics of every level up to the cutoff."""
+    """The cumulative harmonic table before support trimming and grid blocks:
+    wavefunctions and harmonics of every level up to the cutoff, over the
+    whole grid at once."""
     dim = rho.dim
     parts = []
     for d in range(dim):
@@ -650,6 +687,7 @@ TRIMMED_STATES = {
     "fock 2 cutoff 10": (StateModel.fock(2), 10, 3),
     "lossy mixture": (SAMPLED_STATES["lossy mixture"], 6, 2),
     "complex coherent": (StateModel.coherent(0.6 - 0.3j), 10, 10),
+    "complex coherent cutoff 20": (StateModel.coherent(0.6 - 0.3j), 20, 20),
 }
 
 
@@ -670,6 +708,21 @@ class TestSupportTrimmedTable:
         full = sample_quadratures(state, phases, phases.size, seed=10, cutoff=cutoff)
         assert np.array_equal(trimmed.values, full.values)
 
+    # one block below SAMPLE_TABLE_BLOCK points, a remainder joined to the
+    # last block (2049, 5000 and 16385 points) and whole blocks only
+    @pytest.mark.parametrize("points", [64, 2049, 5000, 16385, 2**14])
+    def test_blocked_table_equals_the_whole_grid_build(self, points):
+        grid = np.linspace(-SAMPLE_GRID_HALFSPAN, SAMPLE_GRID_HALFSPAN, points)
+        for state, cutoff, levels in TRIMMED_STATES.values():
+            rho = state_density_matrix(state, cutoff)
+            # built over the same levels: at 64 and 5,000 points gemv sums the
+            # zero rows of the lossy mixture's full cutoff in another order
+            support = DensityMatrix(rho.elements[:levels, :levels])
+            for got, want in zip(
+                states._cumulative_harmonics(rho, grid), full_cutoff_harmonics(support, grid)
+            ):
+                assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
     def test_columns_follow_the_shared_layout(self, case):
         # the MLE reads the same layout: order 0, then (d, shift 0) and
@@ -687,40 +740,28 @@ class TestSupportTrimmedTable:
         assert at == sorted(set(at))
 
     @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
-    def test_wavefunctions_built_to_the_support(self, monkeypatch, case):
+    def test_wavefunctions_built_to_the_support(self, wavefunction_calls, case):
         state, cutoff, levels = TRIMMED_STATES[case]
-        calls = []
-        original = states.fock_wavefunctions
-
-        def counting(n_levels, x):
-            calls.append(n_levels)
-            return original(n_levels, x)
-
-        monkeypatch.setattr(states, "fock_wavefunctions", counting)
         sample_quadratures(state, [0.0, 1.0], 2, seed=11, cutoff=cutoff)
-        assert calls == [levels]
+        assert {n_levels for n_levels, _ in wavefunction_calls} == {levels}
+        assert sum(points for _, points in wavefunction_calls) == SAMPLE_GRID_POINTS
 
     @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
-    def test_phase_free_table_built_once(self, monkeypatch, case):
+    def test_phase_free_table_built_once(self, wavefunction_calls, case):
         # a diagonal rho gives one column, kept read-only for the next call;
         # a table with phase harmonics is built again by every call
-        state, cutoff, levels = TRIMMED_STATES[case]
-        calls = []
-        original = states.fock_wavefunctions
-
-        def counting(n_levels, x):
-            calls.append(n_levels)
-            return original(n_levels, x)
-
-        monkeypatch.setattr(states, "fock_wavefunctions", counting)
+        state, cutoff, _ = TRIMMED_STATES[case]
         first = sample_quadratures(state, [0.0], 500, seed=12, cutoff=cutoff)
+        built = sum(points for _, points in wavefunction_calls)
         second = sample_quadratures(state, [0.0], 500, seed=12, cutoff=cutoff)
+        rebuilt = sum(points for _, points in wavefunction_calls) - built
         assert np.array_equal(first.values, second.values)
+        assert built == SAMPLE_GRID_POINTS
         kept = states._PHASE_FREE_TABLES.get((state, cutoff))
-        if case == "complex coherent":
-            assert calls == [levels, levels] and kept is None
+        if state.kind == "coherent":
+            assert rebuilt == SAMPLE_GRID_POINTS and kept is None
         else:
-            assert calls == [levels]
+            assert rebuilt == 0
             assert not any(array.flags.writeable for array in kept)
 
 
