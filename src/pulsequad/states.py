@@ -321,8 +321,23 @@ def _harmonic_layout(dim: int):
 
 def _harmonic_factors(phases, order, shift) -> np.ndarray:
     """``cos(order * theta + shift)`` of :func:`_harmonic_layout`'s columns,
-    shape ``(len(phases), len(order))``."""
-    return np.cos(np.multiply.outer(phases, order) + shift)
+    shape ``(len(phases), len(order))``.
+
+    One ``z = exp(i theta)`` per phase gives ``z^d`` by repeated
+    multiplication: ``cos(d theta) = Re z^d`` and ``cos(d theta + pi/2) =
+    -Im z^d``.  No product ``d * theta`` is formed, which would lose the
+    phase's low bits and overflow at large phases.
+    """
+    phases = np.asarray(phases, dtype=float)
+    out = np.empty((phases.size, order.size))
+    z = np.exp(1j * phases)
+    power = np.ones_like(z)
+    for d in range(int(order.max(initial=0)) + 1):
+        if d > 0:
+            power *= z
+        for k in np.flatnonzero(order == d):
+            out[:, k] = -power.imag if shift[k] else power.real
+    return out
 
 
 def _cumulative_harmonics(rho: DensityMatrix, grid: np.ndarray):

@@ -739,6 +739,18 @@ class TestSupportTrimmedTable:
         at = [full.index(column) for column in zip(order, shift)]
         assert at == sorted(set(at))
 
+    # d * theta, a 53-bit by 5-bit product, is exact in an x87 long double's
+    # 64-bit mantissa for every order d <= 19 at cutoff 20
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs an 80-bit long double")
+    @pytest.mark.parametrize("theta", [0.3, 1e3, 1e15, 1e308])
+    def test_harmonic_factors_against_extended_precision(self, theta):
+        order, shift, _ = states._harmonic_layout(SAMPLE_GRID_MAX_CUTOFF)
+        angle = order.astype(np.longdouble) * np.longdouble(theta)
+        want = np.where(shift > 0, -np.sin(angle), np.cos(angle)).astype(float)
+        got = states._harmonic_factors(np.array([theta]), order, shift)
+        assert got.shape == (1, order.size)
+        assert np.max(np.abs(got[0] - want)) <= 1e-13
+
     @pytest.mark.parametrize("case", sorted(TRIMMED_STATES))
     def test_wavefunctions_built_to_the_support(self, wavefunction_calls, case):
         state, cutoff, levels = TRIMMED_STATES[case]
