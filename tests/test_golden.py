@@ -95,39 +95,39 @@ DIGESTS = {
         "spectrum.csv": "5942c8d1814d6d658e900c8fafa320ee13582406c0d1c1f54c098d3a5099b572",
     },
     "tomo-mixture-random": {
-        "photon_stats.csv": "8ae690a22ce16044b274cd57230c49c0bcd468f1f40d758644247d3a073ee684",
-        "rho.csv": "d36761abf3e349fe2760ad84b3f3a50f3ca0d702ac0a47e770caff0d7d68907a",
+        "photon_stats.csv": "3d3abc63be80ec73031c9f788c108a3b914efea89caad016e995d7fb0ea33c58",
+        "rho.csv": "d51c088117b3b983570c53cb2975f3169a18ec9ec0876b9373553ba4bd0ac639",
         "samples.csv": "03f6664f474bc9bfd4486b34c2dd4318d27740843145cd545d909a93c1762e9b",
-        "summary.json": "8b22ee7c7facf293b482aa52655b4a8bfc1c7cbe1bfe6d4b0b1055ae0d7cb5d6",
-        "wigner.csv": "9455bf0f0b2a996f2cbdd0b9a5bc85b07e5f4cfe08ddf3922caddc0a5eb1ee6b",
+        "summary.json": "f81b8dacdf7f42378225629a5ae5e63a6e8e5c0e744ca43fa23e9363cf1aeff6",
+        "wigner.csv": "3752507f2124ebc8faadfb9b3ae5cc0ad7bd29d3ad4bea1e365fb8bd3ae4d01a",
     },
     "tomo-coherent-list": {
-        "photon_stats.csv": "4e6a2a08738fd00a6ff871a3a8e1107b8be553b3c110df67b7858a32c7053db8",
-        "rho.csv": "6bfe5464a42c5b3cadf20ba34c22202420d9a6190df92db84ec79366e4ab048e",
-        "samples.csv": "4956fe002e3df50ad639514ac92c273f59bae4a39ceb7eeb65d2a9b7c9d79ced",
-        "summary.json": "3f868e2c383e29285b1439ceed8f616c365207170052e822af4ca898e9ffc967",
-        "wigner.csv": "34fa65a44f5934a89a7318a1c1d9d29169fc7345d54853c87ef987879daf7a31",
+        "photon_stats.csv": "692687bf73d4f794501ea6e7f60914c36878d2ed0d8a8db723af0b63ca723795",
+        "rho.csv": "472ef97e52fa610fb3f5e64942f9bd03cda31987c3ce81de861aa931f59fb5f5",
+        "samples.csv": "34d53dab579d642c9e01df32ffcfa0275edbed1ec5cd65729682520a36a277c6",
+        "summary.json": "2a1ec8341f18c4861c6cd3756ad1f47a01e29cd198a3a1892b9b01bc1a9a2551",
+        "wigner.csv": "8e95d2a80beaeae16d13d165a7742f7a756891faf7a155b0b82a68cf3da339a7",
     },
     "tomo-coherent-sweep": {
-        "photon_stats.csv": "bbca4c5e60bc424bb4f6332f0200ad9c2dccc3fbd77b8950d99ba646fa149f18",
-        "rho.csv": "2a79bc6308f429babf81a8f9af638a03cdbf98bea258dca32e2c57d6d32df4e3",
-        "samples.csv": "a69ac953553db755484e7818b50350c1f5f7a4ce638ea1b0806a23227435022c",
-        "summary.json": "701a80a80b812cada8a2e2d1dafc076a4bf34ca7508f7138c042a2ebaa690d25",
-        "wigner.csv": "55add599ff7d9123af663720d12da6265befcc907600004a3fbb42a560a12cc0",
+        "photon_stats.csv": "d8fcf77b3224b06ba10b18769f71f7b4593700454ec81a969c033bc502cb91e8",
+        "rho.csv": "80abbee68c8f5fb04d4a3bf5a6fcaf1eb9778c26955b63a919076361616ac67e",
+        "samples.csv": "48da7513e97df0ce30da766cb2fc46019ef86f8932a866f56f9fc92398e284ce",
+        "summary.json": "0ad36365bb297a8407eb1bcc177ffaf2e2523bbce4c6844d89e915b762c85297",
+        "wigner.csv": "bec61bdfb3f77710a439c8c5a265f89c875b0b37c895221cd02312e3b1e043b8",
     },
     "tomo-fock-random": {
-        "photon_stats.csv": "a7025079bdadeac39a5222478d51dfe524c25312c4eb8f0b0056406b7548a402",
-        "rho.csv": "82ebe20ba5c42e177078f4045e5abf3eb489cebc778548d3beb24bbf305ecc6d",
+        "photon_stats.csv": "8f0c043836c537fda141baf4f2b78291ec312f4403be998c13e63920417bf9fb",
+        "rho.csv": "40d4262879453a57cd01d8c61188be3fe7284e6f7b6a6eccad421bf48eb0a52a",
         "samples.csv": "3c9560510dbcd7b0010ef023de6fb4702ee43e012ba7836a797979d656320b3e",
-        "summary.json": "9ad122e1963e66a8293946af3b8f799de718edaa8beb326569d961fc5db0d41c",
-        "wigner.csv": "ee3b040a7edc1bf010e610a5aabcc5b25073570dc645c02a0ee209f04489ccc4",
+        "summary.json": "4284b7aa53f0bf67032b73d6deaa930826367bb529bff8a6e0f7ce2c0dccde50",
+        "wigner.csv": "4a14070fa4850c9cb6f4d94d4e100cab7e1c159b7ec45e68efaee44191ffbc42",
     },
     "tomo-vacuum-default": {
         "photon_stats.csv": "132b99f25778d073ccb142a6a50975eb93365bd87baf0839fdb42b47d1f3715d",
-        "rho.csv": "754796d17ce0bcce5a9223b2577d0e591c13392f41b2d4261e27458a0182ef5f",
+        "rho.csv": "3e30fb8da000e1af515545791f862b6559f49f01d8865760f18a1a87dc21d13d",
         "samples.csv": "993ffd0214736e4f07a95fdb54fcaca2a985cfab13014ad4242f37a75e0ac154",
         "summary.json": "54271daa488e127818cd984886cda768424d563dc4a93baae2d64f437788b94c",
-        "wigner.csv": "7625123d4631de0d7923f234f9a2f4e4485c6513439117d0e0c9868c2c21091f",
+        "wigner.csv": "6bc8f3d7f4cbb3210b8ec638128a623cc615df15d22ceb07c522690a1c54e184",
     },
     "trace-gaussian": {
         "trace.bin": "d32b2949b35eaa28d2dad8d1dfbd28f25b0e4afa1b8a005a3338916daa20df42",
