@@ -171,8 +171,22 @@ class PhaseSchedule:
             raise ConfigError("sweep count must be at least 1")
         if not np.all(np.isfinite([self.value, self.start, self.span, *self.values])):
             raise ConfigError("phases must be finite")
+        # the settings run monotonically from start, so the last one, computed
+        # alone by realize's arithmetic, is finite only if all are
+        if self.kind == "sweep" and not math.isfinite(
+            self.start + self.span * (self.count - 1) / self.count
+        ):
+            raise ConfigError("sweep phases must be finite")
+
+    @property
+    def settings(self) -> int:
+        """Phase settings the pulses are shared out between; a constant or
+        random schedule counts as one."""
+        return {"list": len(self.values), "sweep": self.count}.get(self.kind, 1)
 
     def realize(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        if self.settings > n:  # before any setting is built: a count can be huge
+            raise ConfigError("more phase settings than pulses")
         if self.kind == "constant":
             return np.full(n, self.value)
         if self.kind == "random":
@@ -184,8 +198,6 @@ class PhaseSchedule:
         # contiguous blocks per phase setting, remainder spread over the first ones
         counts = np.full(vals.size, n // vals.size)
         counts[: n % vals.size] += 1
-        if counts.min() < 1:
-            raise ConfigError("more phase settings than pulses")
         return np.repeat(vals, counts)
 
 
@@ -209,6 +221,12 @@ class ExperimentConfig:
             raise ConfigError(f"n_pulses must be at least {min_pulses} for run {self.run!r}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        # characterize draws no phase schedule
+        if self.run != "characterize" and self.phases.settings > self.n_pulses:
+            raise ConfigError(
+                f"{self.phases.settings} phase settings need at least as many pulses,"
+                f" not {self.n_pulses}"
+            )
         if self.run == "characterize" and _allan_block_pulses(self.detector) < 1:
             raise ConfigError(
                 f"characterize needs at least one pulse per {ALLAN_BLOCK_S:g} s Allan block;"

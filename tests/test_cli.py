@@ -238,6 +238,18 @@ CONFIG_FAULTS = {
         "run": "characterize",
         "detector": {"eta_pd": 0.0, "elec_noise_area_var": 1e-22},
     },
+    # checked against n_pulses before any setting is built; a sweep's settings
+    # alone would need 7.11 PiB, and only non-finite settings would fail it
+    "sweep count 1e15": {"phases": {"kind": "sweep", "count": 10**15}},
+    "phase list longer than n_pulses": {"phases": {"kind": "list", "values": [0.5] * 201}},
+    "trace-export sweep count 1e15": {
+        "run": "trace-export",
+        "phases": {"kind": "sweep", "count": 10**15},
+    },
+    "sweep settings overflow": {"phases": {"kind": "sweep", "start": 1e308, "span": 1e308}},
+    "sweep settings overflow before the last": {
+        "phases": {"kind": "sweep", "count": 200, "start": -1e308, "span": 1.7e308},
+    },
 }
 
 
@@ -251,6 +263,40 @@ def test_config_fault_exits_2(tmp_path, capsys, fault):
     assert err.startswith("pulsequad: config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_schedule_with_as_many_settings_as_pulses_loads(tmp_path):
+    # as many settings as pulses is the most a schedule may have; characterize
+    # draws no schedule, so it takes any
+    for run, n_pulses in (("tomography", 200), ("trace-export", 200), ("characterize", 2000)):
+        phases = {"kind": "sweep", "count": 200 if run != "characterize" else 10**15}
+        path = write_config(tmp_path, {"run": run, "n_pulses": n_pulses, "phases": phases})
+        assert load_config(path).phases.settings == phases["count"]
+
+
+# d * theta overflowed in the harmonic factors, and each of these exited 3
+# after RuntimeWarnings; one exp(i theta) per phase forms no such product
+HUGE_PHASE_RUNS = {
+    "tomography phase list": {
+        "run": "tomography",
+        "phases": {"kind": "list", "values": [1e308, 0.5]},
+        "tomography": {"cutoff": 4},
+    },
+    "trace-export constant phase": {
+        "run": "trace-export",
+        "state": {"kind": "coherent", "alpha": 1.0},
+        "phases": {"kind": "constant", "value": 1e308},
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_PHASE_RUNS))
+def test_huge_finite_phase_runs_cleanly(tmp_path, capsys, recwarn, case):
+    doc = {"n_pulses": 200, "out_dir": str(tmp_path / "out"), **HUGE_PHASE_RUNS[case]}
+    assert main([doc["run"], "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in recwarn] == []
 
 
 @pytest.mark.parametrize("n_pulses", [1, 2, 3, 7])
@@ -546,6 +592,22 @@ class TestCharacterizeRun:
         report = json.loads((out / "report.json").read_text())
         assert report["eta_en"] == 1.0
         assert report["snr_db"] is None
+
+    def test_random_walk_drift_shortens_the_stability_interval(self, tmp_path):
+        reports, last_allan = {}, {}
+        for sigma in (0.0, 1e-5):
+            out = tmp_path / f"walk {sigma:g}"
+            doc = {"run": "characterize", "out_dir": str(out), "n_pulses": 2000, "seed": 3,
+                   "detector": {"drift": {"random_walk_sigma": sigma}}}
+            assert main(["characterize", "--config", write_config(tmp_path, doc)]) == 0
+            reports[sigma] = json.loads((out / "report.json").read_text())
+            last_allan[sigma] = float((out / "allan.csv").read_text().split(",")[-1])
+        # the walk's Allan deviation grows as sqrt(tau), so it is least at the
+        # shortest intervals, where white shot noise alone keeps falling to 1.778 s
+        assert reports[0.0]["stability_interval_s"] == 1.778
+        assert reports[1e-5]["stability_interval_s"] == 0.002
+        assert last_allan[0.0] == pytest.approx(0.00111, rel=0.01)
+        assert last_allan[1e-5] == pytest.approx(0.254, rel=0.01)
 
     def test_configured_cmrr_recovered(self, tmp_path):
         out = tmp_path / "out"
