@@ -184,6 +184,21 @@ class TestConfigParsing:
             load_config(bad)
 
 
+# refused at config load, before any setting is built or out_dir is made:
+# 10**15 sweep settings would need 7.11 PiB, and a sweep's settings can overflow
+SCHEDULE_FAULTS = {
+    "sweep count 1e15": {"phases": {"kind": "sweep", "count": 10**15}},
+    "phase list longer than n_pulses": {"phases": {"kind": "list", "values": [0.5] * 201}},
+    "trace-export sweep count 1e15": {
+        "run": "trace-export",
+        "phases": {"kind": "sweep", "count": 10**15},
+    },
+    "sweep settings overflow": {"phases": {"kind": "sweep", "start": 1e308, "span": 1e308}},
+    "sweep settings overflow before the last": {
+        "phases": {"kind": "sweep", "count": 200, "start": -1e308, "span": 1.7e308},
+    },
+}
+
 # Each of these once crashed with a traceback, failed at run time (exit 3)
 # or was silently truncated; all are configuration faults.
 CONFIG_FAULTS = {
@@ -238,18 +253,7 @@ CONFIG_FAULTS = {
         "run": "characterize",
         "detector": {"eta_pd": 0.0, "elec_noise_area_var": 1e-22},
     },
-    # checked against n_pulses before any setting is built; a sweep's settings
-    # alone would need 7.11 PiB, and only non-finite settings would fail it
-    "sweep count 1e15": {"phases": {"kind": "sweep", "count": 10**15}},
-    "phase list longer than n_pulses": {"phases": {"kind": "list", "values": [0.5] * 201}},
-    "trace-export sweep count 1e15": {
-        "run": "trace-export",
-        "phases": {"kind": "sweep", "count": 10**15},
-    },
-    "sweep settings overflow": {"phases": {"kind": "sweep", "start": 1e308, "span": 1e308}},
-    "sweep settings overflow before the last": {
-        "phases": {"kind": "sweep", "count": 200, "start": -1e308, "span": 1.7e308},
-    },
+    **SCHEDULE_FAULTS,
 }
 
 
@@ -263,6 +267,16 @@ def test_config_fault_exits_2(tmp_path, capsys, fault):
     assert err.startswith("pulsequad: config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", sorted(SCHEDULE_FAULTS))
+def test_schedule_fault_leaves_no_out_dir(tmp_path, fault):
+    doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(tmp_path / "out")}
+    doc.update(SCHEDULE_FAULTS[fault])
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError):
+        load_config(path)
+    assert main([doc["run"], "--config", path]) == 2
     assert not (tmp_path / "out").exists()
 
 

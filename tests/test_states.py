@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -53,6 +54,18 @@ def wavefunction_calls(monkeypatch):
 
     monkeypatch.setattr(states, "fock_wavefunctions", counting)
     return calls
+
+
+def traced_peak(call):
+    """Peak traced allocation, in bytes, of a second ``call()``: the first
+    fills numpy's and the sampler's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_density_matrix(dim, seed):
@@ -395,14 +408,7 @@ class TestWigner:
         # Laguerre arrays of all orders at once peaked at 3.18 MiB
         rho = random_density_matrix(20, 60)
         axis = cli_wigner_axis()
-        wigner(rho, axis, axis)
-        tracemalloc.start()
-        try:
-            wigner(rho, axis, axis)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.0 * 2**20
+        assert traced_peak(lambda: wigner(rho, axis, axis)) < 1.0 * 2**20
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_axis_rejected(self, bad):
@@ -646,16 +652,9 @@ class TestSampleQuadratures:
         # the table is built over grid blocks of SAMPLE_TABLE_BLOCK points:
         # 1.78 MiB, of which the (2**14, 10) table is 1.25 MiB; a whole-grid
         # wavefunction stack and its products peaked at 4.01 MiB
-        state = StateModel.coherent(0.86)
         phases = np.random.default_rng(12).uniform(0.0, 2.0 * np.pi, 1000)
-        sample_quadratures(state, phases, 1000, seed=13)
-        tracemalloc.start()
-        try:
-            sample_quadratures(state, phases, 1000, seed=13)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2.5 * 2**20
+        call = partial(sample_quadratures, StateModel.coherent(0.86), phases, 1000, seed=13)
+        assert traced_peak(call) < 2.5 * 2**20
 
 
 def full_cutoff_harmonics(rho, grid):
