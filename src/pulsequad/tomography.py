@@ -3,8 +3,8 @@
 The reconstruction bins samples into (phase, quadrature) cells, builds one POVM
 element per occupied cell (the projector density integrated over the cell,
 composed with the detection-loss adjoint), and iterates ``rho <- N[R rho R]``
-with ``R = sum_j (f_j / p_j) Pi_j``, each step taken from a Nesterov-extrapolated
-point, until a certified bound on the likelihood gap is small or the gain stalls.
+with ``R = sum_j (f_j / p_j) Pi_j``, one step per turn from a Nesterov-extrapolated
+point or from ``rho``, until a certified bound on the likelihood gap is small or the gain stalls.
 
 A cell's phase enters only through the real harmonic layout that the
 sampler also uses (:mod:`pulsequad.states`): ``K = 2 dim - 1`` columns
@@ -57,9 +57,10 @@ GAP_TOL = 1e-3  # nats: the reconstruction stops once its likelihood-gap bound i
 class MleResult:
     """Reconstruction output: the state, the likelihood trail, a flag and a bound.
 
-    ``converged`` is true when a stopping test held before ``max_iter`` ran
-    out: either the gap bound fell to ``GAP_TOL`` or a plain step's relative
-    gain to ``tol``.  ``gap_bound`` (nats) bounds how far the final log-likelihood
+    ``history`` holds the starting log-likelihood and one per step taken.
+    ``converged`` is true when a stopping test held within ``max_iter``
+    steps: the gap bound fell to ``GAP_TOL`` or a plain step's relative gain
+    to ``tol``.  ``gap_bound`` (nats) bounds how far the final log-likelihood
     lies below the maximum over all states: ``ll* - history[-1] <= gap_bound``.
     """
 
@@ -121,18 +122,20 @@ def mle_reconstruct(
     ``beta = (j - 1) / (j + 2)`` at the ``j``-th step since the last
     (re)start (Nesterov's sequence), whose state is again a state: no
     eigenvalue is clipped to zero, where no later ``R rho R`` step could
-    regrow it.  If the extrapolated step would gain no more than ``tol``
-    times the log-likelihood's magnitude, or would lower it, the iteration
-    restarts: it takes the plain step from ``rho`` instead, blended toward
-    the identity until the likelihood does not fall, so the recorded
-    history never decreases.
+    regrow it.  Each turn forms one ``R`` and one candidate, from that
+    extrapolated factor or, in a plain step, from ``L`` itself.  An
+    extrapolated step that would gain no more than ``tol`` times the
+    log-likelihood's magnitude is not taken, and the iteration restarts with
+    two plain steps; ``max_iter`` counts the steps taken.
 
     Every ``R`` formed at a state ``sigma`` bounds the maximum likelihood,
     ``ll* <= ll(sigma) + N (lambda_max(R) - 1)`` with ``N`` the sample count
     (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)); the least
     such bound less the current log-likelihood is ``gap_bound``.  The loop
     stops at the first step where ``gap_bound <= GAP_TOL`` or a plain step
-    gains at most ``tol`` times the log-likelihood's magnitude.
+    gains at most ``tol`` times the log-likelihood's magnitude; a plain step
+    that would lower it by more than ``1e-12 (|ll| + 1)`` is not taken, so
+    the history never decreases.
 
     Cells come grouped by quadrature bin, so each bin is a contiguous
     segment.  A cell's probability is ``p = coef . A[bin]``: ``coef``
@@ -204,10 +207,6 @@ def mle_reconstruct(
         s = np.add.reduceat(coef * weights, bin_starts, axis=1)
         return ((s @ ops).ravel()[unfold] * unfold_sign).view(complex).reshape(dim, dim)
 
-    def likelihood_bound(r_op, ll_at):
-        # ll* <= ll(sigma) + N (lambda_max(R(sigma)) - 1) at any state sigma
-        return ll_at + total * (np.linalg.eigvalsh(r_op)[-1] - 1.0)
-
     def normalized(factor):
         # the state of a factor, rho = L L^dagger / tr, is a state for any L;
         # cell_probs reads only its upper triangle, and DensityMatrix.from_array
@@ -223,41 +222,30 @@ def mle_reconstruct(
     history = [ll]
     converged = False
     best_bound = math.inf
-    eye = np.eye(dim, dtype=complex)
     momentum = 0
 
-    for _ in range(max_iter):
-        beta = (momentum - 1) / (momentum + 2)  # 0 at the first two steps after a (re)start
+    while len(history) <= max_iter:
+        beta = (momentum - 1) / (momentum + 2)  # <= 0 at the first two steps after a (re)start
         momentum += 1
-        gain = -math.inf
         if beta > 0:
             factor_y, y = normalized((1 + beta) * factor - beta * factor_prev)
             p_y = cell_probs(y)
-            r_op = iteration_operator(freqs / p_y)
-            best_bound = min(best_bound, likelihood_bound(r_op, float(counts @ np.log(p_y))))
-            factor_new, cand = normalized(r_op @ factor_y)
-            p_new = cell_probs(cand)
-            ll_new = float(counts @ np.log(p_new))
-            gain = ll_new - ll
-        # an extrapolated step that gains no more than the stall rule asks is
-        # not taken, so only a plain step can stop the loop by that rule
-        if gain <= tol * abs(ll):
-            if beta > 0:
-                momentum = 1  # restart: this plain step, then one more before extrapolating
-            r_op = iteration_operator(freqs / p)
-            best_bound = min(best_bound, likelihood_bound(r_op, ll))
-            mean_eig = np.trace(r_op).real / dim
-            floor = ll - 1e-12 * (abs(ll) + 1.0)
-            lam = 1.0
-            for _ in range(60):
-                r_lam = r_op if lam == 1.0 else (1 - lam) * mean_eig * eye + lam * r_op
-                factor_new, cand = normalized(r_lam @ factor)
-                p_new = cell_probs(cand)
-                ll_new = float(counts @ np.log(p_new))
-                if ll_new >= floor:
-                    break
-                lam *= 0.5
-            gain = ll_new - ll
+            ll_y = float(counts @ np.log(p_y))
+        else:
+            factor_y, p_y, ll_y = factor, p, ll
+        r_op = iteration_operator(freqs / p_y)
+        # ll* <= ll(sigma) + N (lambda_max(R(sigma)) - 1) at any state sigma
+        best_bound = min(best_bound, ll_y + total * (np.linalg.eigvalsh(r_op)[-1] - 1.0))
+        factor_new, cand = normalized(r_op @ factor_y)
+        p_new = cell_probs(cand)
+        ll_new = float(counts @ np.log(p_new))
+        gain = ll_new - ll
+        if beta > 0 and gain <= tol * abs(ll):  # not taken: only plain steps stall the loop
+            momentum = 0  # restart: two plain steps before the next extrapolation
+            continue
+        if ll_new < ll - 1e-12 * (abs(ll) + 1.0):  # a plain step that lowers ll: stalled
+            converged = True
+            break
         factor_prev, factor = factor, factor_new
         rho, p, ll = cand, p_new, ll_new
         history.append(ll)

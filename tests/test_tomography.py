@@ -241,7 +241,7 @@ class TestRealHarmonicLayout:
         batch = sample_quadratures(StateModel.coherent(0.6 - 0.3j), phases, 3000, seed=41)
         history, rho, n_bins = dense_rrr_reference(batch, 6, bin_width, steps)
         assert n_bins >= min_bins
-        assert np.all(np.diff(history) > 0)  # so no step of the MLE was blended
+        assert np.all(np.diff(history) > 0)  # so the MLE takes every plain step
         result = mle_reconstruct(batch, 6, bin_width=bin_width, max_iter=steps)
         assert result.iterations == steps
         assert np.allclose(result.history, history, rtol=1e-12, atol=0.0)
@@ -297,20 +297,38 @@ def test_mle_is_a_state_whose_gap_bound_holds(dim, rank, n, seed):
     check_certified(result, plain_rrr_loglik(batch, dim))
 
 
-@pytest.mark.parametrize("seed", [28, 38])
-def test_boundary_state_reaches_the_long_run_likelihood(seed):
-    # the 1,000-sample random-phase coherent batches of the tomography CLI at
-    # these seeds have a rank-3 ML state at cutoff 10; the extrapolated steps
-    # must not stall below the likelihood a long plain run reaches (steps from
-    # eigenvalue-clipped states stalled 1.5e-3 and 1.4e-2 nats below it)
+def cli_coherent_1k_batch(seed):
+    """The 1,000-sample random-phase coherent batch of the tomography CLI at ``seed``."""
     phases = _seeded_rng(seed, 0).uniform(0.0, 2.0 * np.pi, 1000)
-    batch = sample_quadratures(
+    return sample_quadratures(
         StateModel.coherent(0.86), phases, 1000, _child_seed(seed, 1), cutoff=10
     )
+
+
+@pytest.mark.parametrize("seed", [28, 38])
+def test_boundary_state_reaches_the_long_run_likelihood(seed):
+    # these seeds' batches have a rank-3 ML state at cutoff 10; the extrapolated
+    # steps must not stall below the likelihood a long plain run reaches (steps
+    # from eigenvalue-clipped states stalled 1.5e-3 and 1.4e-2 nats below it)
+    batch = cli_coherent_1k_batch(seed)
     result = mle_reconstruct(batch, 10)
     ll_ref = plain_rrr_loglik(batch, 10)
     check_certified(result, ll_ref)
     assert result.history[-1] >= ll_ref - 1e-3
+
+
+@pytest.mark.parametrize("seed, uncapped", [(28, 36), (38, 56)])
+def test_max_iter_counts_steps_taken(seed, uncapped):
+    # these runs restart, and an extrapolated step that is not taken spends
+    # none of the budget: every cap stops after that many steps, on the
+    # uncapped run's own trail
+    batch = cli_coherent_1k_batch(seed)
+    full = mle_reconstruct(batch, 10)
+    assert full.iterations == uncapped
+    for m in range(uncapped):
+        capped = mle_reconstruct(batch, 10, max_iter=m)
+        assert capped.iterations == m
+        assert np.array_equal(capped.history, full.history[: m + 1])
 
 
 def test_quadrature_rule_is_leggauss_5():
