@@ -160,6 +160,8 @@ def mle_reconstruct(
         raise ValueError("tol must be nonnegative")
     if len(batch) == 0:
         raise ValueError("batch is empty")
+    if not np.max(np.abs(batch.values)) < 2**53 * bin_width:  # bin indices stay exact integers
+        raise ValueError("bin_width is too narrow for the batch's largest quadrature")
 
     dim = int(cutoff)
     size = dim * dim

@@ -164,6 +164,9 @@ class TestMleReconstruct:
             mle_reconstruct(batch, 4, bin_width=0.0)
         with pytest.raises(ValueError, match="bin_width"):
             mle_reconstruct(batch, 4, bin_width=50.0)
+        # x / 1e-300 is past int64, so the bins, and a gap_bound from them, would be garbage
+        with pytest.raises(ValueError, match="bin_width"):
+            mle_reconstruct(batch, 4, bin_width=1e-300)
         with pytest.raises(ValueError):
             mle_reconstruct(batch, 4, eta=0.0)
         for tol in (-1e-9, float("nan")):  # would accept steps that lower the likelihood
