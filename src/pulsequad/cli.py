@@ -74,6 +74,7 @@ from .states import (
     photon_statistics,
     pure_state_vector,
     sample_quadratures,
+    state_density_matrix,
     wigner,
 )
 from .tomography import (
@@ -237,19 +238,11 @@ class ExperimentConfig:
             raise ConfigError("characterize needs detector.eta_pd > 0: there is no shot noise")
         # characterize samples no configured state; trace-export samples at DEFAULT_CUTOFF
         cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
-        cutoff = cutoffs.get(self.run, math.inf)
-        n_max = max(_fock_numbers(self.state), default=-1)
-        if n_max >= cutoff:
-            raise ConfigError(
-                f"fock({n_max}) state does not fit below the {self.run} cutoff {cutoff}"
-            )
-
-
-def _fock_numbers(state: StateModel) -> list[int]:
-    """Photon numbers of the Fock states in ``state``, mixture components included."""
-    if state.kind == "mixture":
-        return [n for c in state.components for n in _fock_numbers(c)]
-    return [state.n] if state.kind == "fock" else []
+        if self.run in cutoffs:
+            try:
+                state_density_matrix(self.state, cutoffs[self.run])
+            except ValueError as exc:  # a Fock state, or a mixture's, at or above the cutoff
+                raise ConfigError(f"{self.run} state: {exc}") from None
 
 
 def _coerce(hint, value, where: str):
