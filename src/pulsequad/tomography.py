@@ -3,8 +3,8 @@
 The reconstruction bins samples into (phase, quadrature) cells, builds one POVM
 element per occupied cell (the projector density integrated over the cell,
 composed with the detection-loss adjoint), and iterates ``rho <- N[R rho R]``
-with ``R = sum_j (f_j / p_j) Pi_j``, one step per turn from a Nesterov-extrapolated
-point or from ``rho``, until a certified bound on the likelihood gap is small or the gain stalls.
+with ``R = sum_j (f_j / p_j) Pi_j``, one step per turn from an extrapolated point
+or from ``rho``, until a certified likelihood-gap bound is small or the gain stalls.
 
 A cell's phase enters only through the real harmonic layout that the
 sampler also uses (:mod:`pulsequad.states`): ``K = 2 dim - 1`` columns
