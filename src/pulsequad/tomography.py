@@ -5,13 +5,7 @@ element per occupied cell (the projector density integrated over the cell,
 composed with the detection-loss adjoint), and iterates ``rho <- N[R rho R]``
 with ``R = sum_j (f_j / p_j) Pi_j``, one step per turn from an extrapolated point
 or from ``rho``, until a certified likelihood-gap bound is small or the gain stalls.
-
-A cell's phase enters only through the real harmonic layout that the
-sampler also uses (:mod:`pulsequad.states`): ``K = 2 dim - 1`` columns
-``cos(order * theta + shift)``.  So ``p = coef . A[bin]``, with ``coef``
-the cell's columns and ``A`` a real per-bin matrix formed from ``rho`` once
-per evaluation, and ``R`` comes from one segment sum of ``weights * coef``
-per bin over the cells, which come grouped by bin.
+:class:`_CellMap` maps ``rho`` to the cell probabilities ``p_j``; its transpose gives ``R``.
 """
 
 from __future__ import annotations
@@ -59,8 +53,9 @@ class MleResult:
 
     ``history`` holds the starting log-likelihood and one per step taken.
     ``converged`` is true when a stopping test held within ``max_iter``
-    steps: the gap bound fell to ``GAP_TOL`` or a plain step's relative gain
-    to ``tol``.  ``gap_bound`` (nats) bounds how far the final log-likelihood
+    steps: the gap bound fell to ``GAP_TOL``, a plain step's relative gain
+    to ``tol``, or a plain step would lower the log-likelihood and was not
+    taken.  ``gap_bound`` (nats) bounds how far the final log-likelihood
     lies below the maximum over all states: ``ll* - history[-1] <= gap_bound``.
     """
 
@@ -103,6 +98,60 @@ def _bin_operators(bin_lo: np.ndarray, bin_width: float, cutoff: int, eta: float
     return apply_loss_adjoint(np.einsum("mbq,nbq,q->bmn", psi, psi, wq), eta)
 
 
+class _CellMap:
+    """The linear map from a state to its cell probabilities, and its transpose.
+
+    Cells come grouped by quadrature bin, so each bin is a contiguous
+    segment.  A cell's probability is ``p = coef . A[bin]``: ``coef`` holds
+    the cell's ``K = 2 dim - 1`` columns ``cos(order * theta + shift)`` of
+    the real harmonic layout of :mod:`pulsequad.states`, and for column
+    ``k`` of order ``d``, ``A[b, k] = w_k Re[exp(-i shift_k) sum_m O_b[m+d, m]
+    rho[m, m+d]]`` (the Re part at shift 0, the Im part at shift pi/2),
+    gathered from ``rho`` through one index map (the fold) once per
+    evaluation.  ``R`` is the transpose of that product: one segment sum of
+    ``weights * coef`` per bin and column, mapped through the bin operators
+    ``O_b`` and scattered back through the same map (the unfold).
+    """
+
+    def __init__(self, cell_phase, bin_of_cell, bin_lo, bin_width, dim, eta):
+        size = dim * dim
+        self.ops = _bin_operators(bin_lo, bin_width, dim, eta).reshape(bin_lo.size, size)
+        order, shift, weight = _harmonic_layout(dim)
+        # entry m of column k (order d) pairs rho[m, m+d] (Re at shift 0, Im at pi/2) with
+        # O_b[m+d, m]: the fold takes rho's float view to the weighted (K, dim*dim) rows
+        k, m = np.nonzero(np.arange(dim) < dim - order[:, None])
+        d = order[k].astype(np.int64)
+        part = (shift[k] != 0).astype(np.int64)
+        row = (m + d) * dim + m
+        self.fold = np.zeros((order.size, size), dtype=np.int64)
+        self.fold[k, row] = 2 * (m * dim + m + d) + part
+        self.fold_weight = np.zeros((order.size, size))
+        self.fold_weight[k, row] = weight[k]
+        # and the unfold reads R's (dim, 2 dim) float view back from the product's
+        # transpose: R[m+d, m] = re - i im, R[m, m+d] its conjugate, diagonal Im 0
+        below, above = (m + d, 2 * m + part), (m, 2 * (m + d) + part)
+        self.unfold = np.zeros((dim, 2 * dim), dtype=np.int64)
+        self.unfold[below] = self.unfold[above] = k * size + row
+        self.unfold_sign = np.zeros((dim, 2 * dim))
+        self.unfold_sign[above] = 1.0
+        self.unfold_sign[below] = 1.0 - 2.0 * part
+        # _binned_cells keeps occupied bins only, so no segment of adjoint's reduceat is empty
+        self.cells_per_bin = np.bincount(bin_of_cell, minlength=bin_lo.size)
+        self.bin_starts = np.cumsum(self.cells_per_bin) - self.cells_per_bin
+        self.coef = np.ascontiguousarray(_harmonic_factors(cell_phase, order, shift).T)
+
+    def probs(self, rho):
+        """Each cell's ``tr(rho Pi_j)``, floored at 1e-300; reads rho's upper triangle."""
+        per_bin = (rho.view(float).ravel()[self.fold] * self.fold_weight) @ self.ops.T
+        p = np.einsum("kj,kj->j", self.coef, np.repeat(per_bin, self.cells_per_bin, axis=1))
+        return np.maximum(p, 1e-300)
+
+    def adjoint(self, weights):
+        """``R = sum_j weights_j Pi_j``, a Hermitian matrix."""
+        s = np.add.reduceat(self.coef * weights, self.bin_starts, axis=1)
+        return ((s @ self.ops).ravel()[self.unfold] * self.unfold_sign).view(complex)
+
+
 def mle_reconstruct(
     batch: QuadratureBatch,
     cutoff: int,
@@ -132,21 +181,10 @@ def mle_reconstruct(
     ``ll* <= ll(sigma) + N (lambda_max(R) - 1)`` with ``N`` the sample count
     (Glancy, Knill & Girard, New J. Phys. 14, 095017 (2012)); the least
     such bound less the current log-likelihood is ``gap_bound``.  The loop
-    stops at the first step where ``gap_bound <= GAP_TOL`` or a plain step
-    gains at most ``tol`` times the log-likelihood's magnitude; a plain step
-    that would lower it by more than ``1e-12 (|ll| + 1)`` is not taken, so
-    the history never decreases.
-
-    Cells come grouped by quadrature bin, so each bin is a contiguous
-    segment.  A cell's probability is ``p = coef . A[bin]``: ``coef``
-    holds the cell's ``cos(order * theta + shift)`` columns of the real
-    harmonic layout of :mod:`pulsequad.states`, and for column ``k`` of
-    order ``d``, ``A[b, k] = w_k Re[exp(-i shift_k) sum_m O_b[m+d, m]
-    rho[m, m+d]]`` (the Re part at shift 0, the Im part at shift pi/2),
-    gathered from ``rho`` through one index map (the fold).  ``R`` is the
-    transpose of that product: one segment sum of ``weights * coef`` per
-    bin and column, mapped through the bin operators ``O_b`` and scattered
-    back through the same map.
+    stops at the first of three tests: ``gap_bound <= GAP_TOL``, a plain
+    step that gains at most ``tol`` times the log-likelihood's magnitude, or
+    a plain step that would lower it by more than ``1e-12 (|ll| + 1)``, which
+    is not taken, so the history never decreases.
     """
     if batch.phases is None:
         raise ValueError("reconstruction requires per-sample LO phases")
@@ -164,54 +202,16 @@ def mle_reconstruct(
         raise ValueError("bin_width is too narrow for the batch's largest quadrature")
 
     dim = int(cutoff)
-    size = dim * dim
     cell_phase, bin_of_cell, counts, bin_lo = _binned_cells(
         batch.values, batch.phases, bin_width
     )
-    ops = _bin_operators(bin_lo, bin_width, dim, eta).reshape(bin_lo.size, size)
-    order, shift, weight = _harmonic_layout(dim)
-    # entry m of column k (order d) pairs rho[m, m+d], its Re part at shift 0
-    # and its Im part at shift pi/2, with O_b[m+d, m]: the fold takes rho's
-    # float view to the weighted (K, dim*dim) rows that meet the bin operators
-    k, m = np.nonzero(np.arange(dim) < dim - order[:, None])
-    d = order[k].astype(np.int64)
-    part = (shift[k] != 0).astype(np.int64)
-    col = k * size + (m + d) * dim + m
-    fold = np.zeros(order.size * size, dtype=np.int64)
-    fold[col] = 2 * (m * dim + m + d) + part
-    fold_weight = np.zeros(order.size * size)
-    fold_weight[col] = weight[k]
-    # and the unfold reads R's float view back from the transposed product:
-    # R[m+d, m] = re - i im, R[m, m+d] its conjugate; the diagonal's Im slots stay 0
-    below = 2 * ((m + d) * dim + m) + part
-    above = 2 * (m * dim + m + d) + part
-    unfold = np.zeros(2 * size, dtype=np.int64)
-    unfold[below] = unfold[above] = col
-    unfold_sign = np.zeros(2 * size)
-    unfold_sign[above] = 1.0
-    unfold_sign[below] = np.where(part == 1, -1.0, 1.0)
-    # every bin holds a cell (_binned_cells keeps occupied bins only), so no
-    # segment of the reduceat below is empty
-    cells_per_bin = np.bincount(bin_of_cell, minlength=bin_lo.size)
-    bin_starts = np.cumsum(cells_per_bin) - cells_per_bin
-    coef = np.ascontiguousarray(_harmonic_factors(cell_phase, order, shift).T)
+    cells = _CellMap(cell_phase, bin_of_cell, bin_lo, bin_width, dim, eta)
     total = counts.sum()
     freqs = counts / total
 
-    def cell_probs(rho):
-        per_bin = (rho.view(float).ravel()[fold] * fold_weight).reshape(order.size, size) @ ops.T
-        p = np.einsum("kj,kj->j", coef, np.repeat(per_bin, cells_per_bin, axis=1))
-        return np.maximum(p, 1e-300)
-
-    def iteration_operator(weights):
-        # the transpose of cell_probs: segment sums of weights * coef per bin,
-        # through the bin operators, unfolded into R
-        s = np.add.reduceat(coef * weights, bin_starts, axis=1)
-        return ((s @ ops).ravel()[unfold] * unfold_sign).view(complex).reshape(dim, dim)
-
     def normalized(factor):
         # the state of a factor, rho = L L^dagger / tr, is a state for any L;
-        # cell_probs reads only its upper triangle, and DensityMatrix.from_array
+        # cells.probs reads only its upper triangle, and DensityMatrix.from_array
         # makes the returned one exactly Hermitian
         rho = factor @ factor.conj().T
         scale = np.trace(rho).real
@@ -219,7 +219,7 @@ def mle_reconstruct(
 
     factor, rho = normalized(np.eye(dim, dtype=complex))
     factor_prev = factor
-    p = cell_probs(rho)
+    p = cells.probs(rho)
     ll = float(counts @ np.log(p))
     history = [ll]
     converged = False
@@ -231,15 +231,15 @@ def mle_reconstruct(
         momentum += 1
         if beta > 0:
             factor_y, y = normalized((1 + beta) * factor - beta * factor_prev)
-            p_y = cell_probs(y)
+            p_y = cells.probs(y)
             ll_y = float(counts @ np.log(p_y))
         else:
             factor_y, p_y, ll_y = factor, p, ll
-        r_op = iteration_operator(freqs / p_y)
+        r_op = cells.adjoint(freqs / p_y)
         # ll* <= ll(sigma) + N (lambda_max(R(sigma)) - 1) at any state sigma
         best_bound = min(best_bound, ll_y + total * (np.linalg.eigvalsh(r_op)[-1] - 1.0))
         factor_new, cand = normalized(r_op @ factor_y)
-        p_new = cell_probs(cand)
+        p_new = cells.probs(cand)
         ll_new = float(counts @ np.log(p_new))
         gain = ll_new - ll
         if beta > 0 and gain <= tol * abs(ll):  # not taken: only plain steps stall the loop

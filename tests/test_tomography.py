@@ -27,6 +27,7 @@ from pulsequad.tomography import (
     _QUAD_WEIGHTS,
     _bin_operators,
     _binned_cells,
+    _CellMap,
     mle_reconstruct,
     write_wigner_csv,
 )
@@ -249,6 +250,35 @@ class TestRealHarmonicLayout:
         assert result.iterations == steps
         assert np.allclose(result.history, history, rtol=1e-12, atol=0.0)
         assert np.max(np.abs(result.rho.elements - rho)) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    cutoff=st.integers(2, 10),
+    eta=st.floats(0.0, 1.0, exclude_min=True),
+    bin_width=st.floats(0.05, 1.0),
+    listed=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_cell_map_adjoint_is_the_transpose_of_probs(cutoff, eta, bin_width, listed, seed):
+    # <w, probs(rho)> = Re tr(adjoint(w) rho), and adjoint(w) is Hermitian: R
+    # is the transpose of the cell probabilities, which the R rho R step and
+    # the gap bound's lambda_max(R) both take it to be
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 1.5, 400)
+    if listed:  # a phase schedule of a few settings: many samples share a cell
+        phases = rng.choice(rng.uniform(0.0, 2.0 * np.pi, 5), values.size)
+    else:
+        phases = rng.uniform(0.0, 2.0 * np.pi, values.size)
+    cell_phase, bin_of_cell, _, bin_lo = _binned_cells(values, phases, bin_width)
+    cells = _CellMap(cell_phase, bin_of_cell, bin_lo, bin_width, cutoff, eta)
+    g = rng.normal(size=(cutoff, cutoff)) + 1j * rng.normal(size=(cutoff, cutoff))
+    rho = g @ g.conj().T + 1e-3 * np.eye(cutoff)  # full rank, so every p_j > 0
+    rho = (rho + rho.conj().T) / (2.0 * np.trace(rho).real)
+    weights = rng.uniform(0.1, 10.0, cell_phase.size)
+    r = cells.adjoint(weights)
+    assert np.array_equal(r, r.conj().T)
+    assert math.isclose(weights @ cells.probs(rho), np.trace(r @ rho).real, rel_tol=1e-12)
 
 
 def sample_density(rho, n, seed):
