@@ -39,6 +39,9 @@ TRACE_MAGIC_V1 = b"PQTRACE1"  # 24-byte header without t0; still read
 TRACE_MAGIC = b"PQTRACE2"
 
 BLOCK_PULSES = 4096  # pulse periods synthesized at a time (0.8 MB at 25 samples)
+# the most samples per period a config may ask for: a trace block buffer then
+# holds at most BLOCK_PULSES x 4096 floats (128 MiB), and a run holds two per thread
+MAX_SAMPLES_PER_PERIOD = 4096
 
 DEFAULT_SNR_DB = 14.5
 
@@ -92,6 +95,8 @@ class DetectorConfig:
         ratio = self.sample_rate / self.f_rep
         if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 8:
             raise ValueError("sample_rate must be an integer multiple (>= 8) of f_rep")
+        if round(ratio) > MAX_SAMPLES_PER_PERIOD:  # before any period-long array is built
+            raise ValueError(f"sample_rate must be at most {MAX_SAMPLES_PER_PERIOD} times f_rep")
         # a pulse that covers every sample of its period leaves a flat trace
         # with no pulse in it (a rectangular fwhm_pulse of 12 ns at 80 MHz, 2 GS/s)
         if np.ptp(_pulse_shape(self)) == 0:

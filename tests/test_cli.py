@@ -253,6 +253,8 @@ CONFIG_FAULTS = {
         "run": "characterize",
         "detector": {"eta_pd": 0.0, "elec_noise_area_var": 1e-22},
     },
+    # 1e9 samples per period: one array over a period is 7.45 GiB
+    "samples per period 1e9": {"detector": {"f_rep": 1e3, "sample_rate": 1e12}},
     **SCHEDULE_FAULTS,
 }
 
@@ -277,6 +279,19 @@ def test_schedule_fault_leaves_no_out_dir(tmp_path, fault):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main([doc["run"], "--config", path]) == 2
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("run", RUN_KINDS)
+def test_huge_samples_per_period_leaves_no_out_dir(tmp_path, run):
+    # refused at config load, before any array over a period is built: it
+    # exited 3 under a 3 GiB address-space limit and was killed without one
+    doc = {"run": run, "n_pulses": 200, "out_dir": str(tmp_path / "out")}
+    doc["detector"] = {"f_rep": 1e3, "sample_rate": 1e12}
+    path = write_config(tmp_path, doc)
+    with pytest.raises(ConfigError, match="sample_rate must be at most 4096 times f_rep"):
+        load_config(path)
+    assert main([run, "--config", path]) == 2
     assert not (tmp_path / "out").exists()
 
 

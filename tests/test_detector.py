@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pulsequad.detector import (
     BLOCK_PULSES,
+    MAX_SAMPLES_PER_PERIOD,
     PULSE_SHAPES,
     DetectorConfig,
     DriftModel,
@@ -117,6 +118,14 @@ class TestConfigValidation:
     def test_rejects_too_few_samples_per_period(self):
         with pytest.raises(ValueError):
             DetectorConfig(sample_rate=80e6 * 4)
+
+    def test_samples_per_period_bound(self):
+        # the check comes before the pulse shape, so 1e9 samples allocate nothing
+        for spp in (25, 100, MAX_SAMPLES_PER_PERIOD):
+            assert DetectorConfig(sample_rate=80e6 * spp).samples_per_period == spp
+        for f_rep, sample_rate in ((80e6, 80e6 * (MAX_SAMPLES_PER_PERIOD + 1)), (1e3, 1e12)):
+            with pytest.raises(ValueError, match="at most 4096 times f_rep"):
+                DetectorConfig(f_rep=f_rep, sample_rate=sample_rate)
 
     def test_rejects_unknown_pulse_shape(self):
         with pytest.raises(ValueError):
