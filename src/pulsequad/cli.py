@@ -614,8 +614,7 @@ def run_trace_export(config: ExperimentConfig) -> None:
     with np.errstate(over="ignore", invalid="ignore"):
         areas = _signal_areas(det, config.state, phases, n, seed)
         _atomic(out, "trace.csv", _stream_trace_csv, *head, _trace_blocks(det, areas, seed))
-        blocks, count = _trace_blocks(det, areas, seed), n * det.samples_per_period
-        _atomic(out, "trace.bin", _stream_trace_bin, *head, count, blocks)
+        _atomic(out, "trace.bin", _stream_trace_bin, *head, _trace_blocks(det, areas, seed))
 
 
 _RUNNERS = {

@@ -35,8 +35,8 @@ ELEMENTARY_CHARGE = 1.602176634e-19
 PLANCK = 6.62607015e-34
 SPEED_OF_LIGHT = 2.99792458e8
 
-TRACE_MAGIC_V1 = b"PQTRACE1"  # 24-byte header without t0; still read
 TRACE_MAGIC = b"PQTRACE2"
+TRACE_HEADER = struct.Struct("<8sdQd")  # magic, sample rate, sample count, t0
 
 BLOCK_PULSES = 4096  # pulse periods synthesized at a time (0.8 MB at 25 samples)
 # the most samples per period a config may ask for: a trace block buffer then
@@ -323,12 +323,16 @@ def _stream_trace_csv(sample_rate: float, t0: float, blocks, path) -> None:
     _write_csv_blocks(path, "time_s,voltage_v", rows)
 
 
-def _stream_trace_bin(sample_rate: float, t0: float, count: int, blocks, path) -> None:
-    """The one ``trace.bin`` writer: a ``count``-sample header, then each block."""
+def _stream_trace_bin(sample_rate: float, t0: float, blocks, path) -> None:
+    """The one ``trace.bin`` writer: each block after the header, whose
+    sample count is filled in once the last block is written."""
     with open(path, "wb") as fh:
-        fh.write(TRACE_MAGIC + struct.pack("<dQd", sample_rate, count, t0))
+        fh.seek(TRACE_HEADER.size)
         for _, x in _flat_samples(blocks):
             fh.write(np.ascontiguousarray(x, dtype="<f8"))
+        count = (fh.tell() - TRACE_HEADER.size) // 8
+        fh.seek(0)
+        fh.write(TRACE_HEADER.pack(TRACE_MAGIC, sample_rate, count, t0))
 
 
 def read_trace_binary(path) -> TraceBuffer:
@@ -336,23 +340,18 @@ def read_trace_binary(path) -> TraceBuffer:
     float64 sample rate, uint64 sample count, float64 ``t0``, then the float64
     samples, all little-endian.
 
-    Also reads the older 24-byte ``PQTRACE1`` header, which stores no start
-    time; such a trace gets ``t0 = 0``.  Every malformed header raises
-    ``ValueError``: a sample count beyond the bytes left in the file, or a
-    rate or ``t0`` that :class:`TraceBuffer` rejects.
+    Every malformed file raises ``ValueError``: another magic or a short
+    header, a sample count beyond the bytes left in the file, or a rate or
+    ``t0`` that :class:`TraceBuffer` rejects.
     """
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic not in (TRACE_MAGIC, TRACE_MAGIC_V1):
+        header = fh.read(TRACE_HEADER.size)
+        if len(header) != TRACE_HEADER.size or not header.startswith(TRACE_MAGIC):
             raise ValueError("not a trace binary file")
-        fields = "<dQd" if magic == TRACE_MAGIC else "<dQ"
-        header = fh.read(struct.calcsize(fields))
-        if len(header) != struct.calcsize(fields):
-            raise ValueError("not a trace binary file")
-        rate, count, *t0 = struct.unpack(fields, header)
+        _, rate, count, t0 = TRACE_HEADER.unpack(header)
         # checked before the read: count * 8 of a corrupt count may not even
         # fit an index-sized integer
         if count > (os.fstat(fh.fileno()).st_size - fh.tell()) // 8:
             raise ValueError("trace binary file is truncated")
         data = np.frombuffer(fh.read(count * 8), dtype="<f8")
-    return TraceBuffer(sample_rate=rate, t0=t0[0] if t0 else 0.0, samples=data)
+    return TraceBuffer(sample_rate=rate, t0=t0, samples=data)

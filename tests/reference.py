@@ -84,7 +84,7 @@ def write_trace_csv(trace: TraceBuffer, path) -> None:
 
 def write_trace_binary(trace: TraceBuffer, path) -> None:
     """A whole trace through the one ``trace.bin`` writer."""
-    _stream_trace_bin(trace.sample_rate, trace.t0, trace.samples.size, [trace.samples], path)
+    _stream_trace_bin(trace.sample_rate, trace.t0, [trace.samples], path)
 
 
 def integrate_pulse(window, sample_rate: float) -> float:

@@ -15,6 +15,8 @@ from pulsequad.detector import (
     PULSE_SHAPES,
     DetectorConfig,
     DriftModel,
+    _stream_trace_bin,
+    _trace_blocks,
     area_scale,
     electronic_only_areas,
     generate_areas,
@@ -357,13 +359,25 @@ class TestTraceExport:
         assert areas.size == 40_000
         assert np.array_equal(areas, record_areas(trace, cfg.f_rep))
 
-    def test_binary_reads_version_one(self, tmp_path):
-        samples = np.arange(6.0)
+    def test_binary_header_counts_every_block(self, tmp_path):
+        # 10,000 pulses stream as three blocks of at most BLOCK_PULSES periods,
+        # and the writer's header counts the samples of all three
+        cfg = DetectorConfig()
+        path = tmp_path / "trace.bin"
+        _stream_trace_bin(cfg.sample_rate, -0.25, _trace_blocks(cfg, np.zeros(10_000), 3), path)
+        raw = path.read_bytes()
+        header = struct.unpack("<8sdQd", raw[:32])
+        assert header == (b"PQTRACE2", cfg.sample_rate, 250_000, -0.25)
+        assert len(raw) == 32 + 8 * 250_000
+        expected = electronic_only_trace(cfg, 10_000, seed=3).samples
+        assert np.array_equal(read_trace_binary(path).samples, expected)
+
+    def test_binary_rejects_version_one(self, tmp_path):
+        # the 24-byte PQTRACE1 header, which had no t0, is an unknown magic
         path = tmp_path / "old.bin"
-        path.write_bytes(b"PQTRACE1" + struct.pack("<dQ", 4e9, 6) + samples.tobytes())
-        loaded = read_trace_binary(path)
-        assert (loaded.sample_rate, loaded.t0) == (4e9, 0.0)
-        assert np.array_equal(loaded.samples, samples)
+        path.write_bytes(b"PQTRACE1" + struct.pack("<dQ", 4e9, 6) + np.arange(6.0).tobytes())
+        with pytest.raises(ValueError, match="not a trace binary file"):
+            read_trace_binary(path)
 
     @pytest.mark.parametrize(
         "raw",
