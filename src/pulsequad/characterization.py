@@ -136,12 +136,15 @@ def snr_and_efficiency(var_total: float, var_elec: float) -> tuple[float, float]
     """SNR in dB and the equivalent efficiency of the electronic noise.
 
     ``snr_db = 10 log10(var_total / var_elec)`` and
-    ``eta_en = 1 - var_elec / var_total``.
+    ``eta_en = max(0, 1 - var_elec / var_total)``, both as measured: where
+    the electronics dominate, sampling can put ``var_total`` at or below
+    ``var_elec``, which gives an ``snr_db`` at or below 0 and an ``eta_en``
+    of 0.
     """
-    if not var_total > var_elec > 0:
-        raise ValueError("need var_total > var_elec > 0")
+    if not (var_total > 0 and var_elec > 0):
+        raise ValueError("need var_total > 0 and var_elec > 0")
     ratio = var_total / var_elec
-    return 10.0 * np.log10(ratio), 1.0 - 1.0 / ratio
+    return 10.0 * np.log10(ratio), max(0.0, 1.0 - 1.0 / ratio)
 
 
 def overall_efficiency(eta_en: float, eta_pd: float) -> float:

@@ -55,11 +55,15 @@ from .detector import (
     _stream_trace_csv,
     _trace_blocks,
     _trace_t0,
+    area_scale,
     electronic_only_areas,
     generate_areas,
+    leakage_area,
+    photons_per_pulse,
     single_diode_pulse_area,
 )
 from .extraction import (
+    VACUUM_VARIANCE,
     QuadratureBatch,
     apply_calibration,
     calibrate_vacuum,
@@ -118,6 +122,12 @@ ALLAN_BLOCK_S = 1e-3
 SEGMENT_LEN_BAND = 2**10
 SEGMENT_LEN_LINE = 2**15
 SPECTRUM_PULSES = 20_972  # 16 full 2**15-sample segments at 25 samples per pulse
+# the battery sums up to ~1e16 squares of its LO powers, pulse areas, area
+# variances, trace samples and Allan block means: each must lie in this range
+# for its square to be a normal float with that much room to spare
+BATTERY_RANGE = (math.sqrt(sys.float_info.min * 1e16), math.sqrt(sys.float_info.max / 1e16))
+# calibrate_vacuum refuses areas whose mean lies 1e9 standard deviations out
+CALIBRATION_MAX_OFFSET = 1e8
 
 WIGNER_HALFSPAN = 5.0
 WIGNER_POINTS = 101
@@ -236,6 +246,9 @@ class ExperimentConfig:
         # the battery calibrates against shot noise, which a blind photodiode lacks
         if self.run == "characterize" and self.detector.eta_pd == 0:
             raise ConfigError("characterize needs detector.eta_pd > 0: there is no shot noise")
+        fault = self.run == "characterize" and _battery_fault(self.detector, self.n_pulses)
+        if fault:
+            raise ConfigError(f"characterize cannot compute its battery for this detector: {fault}")
         # characterize samples no configured state; trace-export samples at DEFAULT_CUTOFF
         cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
         if self.run in cutoffs:
@@ -394,6 +407,61 @@ def _pulse_rolls_off(det: DetectorConfig, segment_len: int) -> bool:
 
 def _allan_block_pulses(det: DetectorConfig) -> int:
     return int(round(det.f_rep * ALLAN_BLOCK_S))
+
+
+def _battery_fault(det: DetectorConfig, n_pulses: int) -> str | None:
+    """Why the characterize battery's float64 arithmetic fails for ``det``, or None.
+
+    Bounds from the detector model: a pulse area is the leakage plus
+    ``area_scale`` times a quadrature, which the sampling grid keeps within
+    ``SAMPLE_GRID_HALFSPAN``, plus the drift; a trace sample is at most an
+    area times ``sample_rate``, the peak of a unit-area pulse.  The drift
+    over ``m`` pulses is taken as its ramp plus one standard deviation of
+    its walk.
+    """
+    s, leak, var_elec = area_scale(det), leakage_area(det), det.elec_noise_area_var
+    drift = det.drift
+
+    def excursion(m: float) -> float:  # in quadrature units
+        return abs(drift.linear_rate) * m / det.f_rep + drift.random_walk_sigma * math.sqrt(m)
+
+    # the CC records are calibrated against their own vacuum areas; the drift
+    # starts from 0 in every record, so it widens the areas as much as it
+    # offsets them, and only the leakage can outgrow their spread
+    if not leak <= CALIBRATION_MAX_OFFSET * s * math.sqrt(VACUUM_VARIANCE):
+        return (
+            f"the leakage area exceeds {CALIBRATION_MAX_OFFSET:g} shot-noise"
+            " standard deviations of a pulse area"
+        )
+    # the CMRR divides the single-diode line by the balanced trace's PSD at
+    # f_rep; the single-diode area is sqrt(n_lo / 8) shot-noise areas, so
+    # with fewer LO photons that ratio can underflow against a steep drift
+    n_lo = photons_per_pulse(det.p_lo, det.wavelength, det.f_rep)
+    if not n_lo >= 1.0:
+        return f"the LO delivers {n_lo:.3g} photons per pulse, fewer than one"
+    shot_var = s * s * VACUUM_VARIANCE
+    spread = s * excursion(n_pulses)  # the drift's share of a record's areas
+    area = leak + s * (SAMPLE_GRID_HALFSPAN + excursion(max(n_pulses, SPECTRUM_PULSES)))
+    area = max(area, single_diode_pulse_area(det))
+    smallest = {
+        "LO power": POWER_FRACTIONS[0] * det.p_lo,
+        "pulse-area variance": min(POWER_FRACTIONS[0] * shot_var, var_elec or math.inf),
+    }
+    largest = {
+        "LO power": det.p_lo,
+        "pulse-area variance": shot_var + spread * spread + var_elec,
+        "pulse area": area,
+        "trace sample": (area + 10.0 * math.sqrt(var_elec)) * det.sample_rate,
+        "drift over the Allan records": excursion(ALLAN_DURATION_S * det.f_rep),
+    }
+    low, high = BATTERY_RANGE
+    for name, value in smallest.items():
+        if not value >= low:
+            return f"the smallest {name}, {value:.3g}, is below {low:.3g}"
+    for name, value in largest.items():
+        if not value <= high:
+            return f"the largest {name}, {value:.3g}, is above {high:.3g}"
+    return None
 
 
 def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:

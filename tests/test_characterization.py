@@ -111,8 +111,15 @@ class TestSnrArithmetic:
         assert snr == pytest.approx(3.0103, abs=1e-4)
         assert eta_en == pytest.approx(0.5, abs=1e-12)
 
+    def test_electronics_dominated_split_as_measured(self):
+        # sampling can put the total variance at or below the electronic one
+        assert snr_and_efficiency(1.0, 1.0) == (0.0, 0.0)
+        snr, eta_en = snr_and_efficiency(1.0, 2.0)
+        assert snr == pytest.approx(-3.0103, abs=1e-4)
+        assert eta_en == 0.0
+
     def test_invalid_inputs(self):
-        for args in [(1.0, 1.0), (1.0, 2.0), (1.0, 0.0), (0.0, -1.0)]:
+        for args in [(1.0, 0.0), (0.0, -1.0), (0.0, 1.0), (math.nan, 1.0)]:
             with pytest.raises(ValueError):
                 snr_and_efficiency(*args)
 

@@ -13,6 +13,7 @@ import threading
 import time
 import tracemalloc
 import types
+import warnings
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -255,6 +256,27 @@ CONFIG_FAULTS = {
     },
     # 1e9 samples per period: one array over a period is 7.45 GiB
     "samples per period 1e9": {"detector": {"f_rep": 1e3, "sample_rate": 1e12}},
+    # detectors whose characterize battery float64 cannot compute: each exited 3,
+    # or 0 after RuntimeWarnings with infinite or overflowed figures
+    **{
+        f"characterize {name}": {"run": "characterize", "detector": detector}
+        for name, detector in {
+            "leakage 1e9 shot-noise sds": {"cmrr_db": -102.0},
+            "leakage at 1e100 W": {"p_lo": 1e100},
+            "shot-noise variance underflow": {"gain": 1e-148},
+            "electronic variance 1e300": {"elec_noise_area_var": 1e300},
+            "drift ramp overflow": {"drift": {"linear_rate": 1e200}},
+            "drift walk overflow": {"drift": {"random_walk_sigma": 1e150}},
+            "variance squares overflow": {"gain": 1e150},
+            # the blocked/balanced PSD ratio of the CMRR underflowed to a -inf dB report
+            "LO below one photon per pulse": {
+                "gain": 1.7e16,
+                "p_lo": 4e-129,
+                "elec_noise_area_var": 0.0,
+                "drift": {"linear_rate": -1.6e123},
+            },
+        }.items()
+    },
     **SCHEDULE_FAULTS,
 }
 
@@ -269,6 +291,7 @@ def test_config_fault_exits_2(tmp_path, capsys, fault):
     assert err.startswith("pulsequad: config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("fault", sorted(SCHEDULE_FAULTS))
@@ -731,6 +754,73 @@ def test_characterize_probe_answers_or_exits_2(tmp_path, capsys, probe):
         assert all(v is None or math.isfinite(v) for v in numbers)
         assert (report["bandwidth_hz"] is None) == (report["tbp"] is None)
         assert {k: report[k] for k in entries} == entries
+
+
+def finite_artifacts(out):
+    """Whether report.json and every CSV in ``out`` hold only finite numbers."""
+
+    def refuse(constant):
+        raise ValueError(constant)
+
+    json.loads((out / "report.json").read_text(), parse_constant=refuse)
+    for csv in out.glob("*.csv"):
+        for line in csv.read_text().splitlines()[1:]:
+            assert all(math.isfinite(float(v)) for v in line.split(",")), (csv.name, line)
+
+
+@pytest.mark.parametrize("seed", [2, 4])
+def test_electronics_dominated_snr_is_reported_as_measured(tmp_path, capsys, recwarn, seed):
+    # about 1000x the shot-noise area variance: at these seeds the measured
+    # total variance falls below the electronic one, which once exited 3
+    out = tmp_path / "out"
+    doc = {"run": "characterize", "n_pulses": 2000, "seed": seed, "out_dir": str(out),
+           "detector": {"elec_noise_area_var": 7e-18}}
+    assert main(["characterize", "--config", write_config(tmp_path, doc)]) == 0
+    assert capsys.readouterr().err == ""
+    assert [str(w.message) for w in recwarn] == []
+    finite_artifacts(out)
+    report = json.loads((out / "report.json").read_text())
+    assert report["snr_db"] < 0.0
+    assert report["eta_en"] == report["eta_bhd"] == 0.0
+
+
+def log_uniform(low, high):
+    return st.floats(low, high).map(lambda e: 10.0**e)
+
+
+# each field present or not; the exponents reach past every battery bound
+BATTERY_DETECTORS = st.fixed_dictionaries(
+    {},
+    optional={
+        "gain": log_uniform(-70.0, 100.0),
+        "p_lo": log_uniform(-140.0, 160.0),
+        "cmrr_db": st.floats(-130.0, 200.0) | st.just(math.inf),
+        "elec_noise_area_var": st.just(0.0) | log_uniform(-170.0, 170.0),
+        "drift": st.fixed_dictionaries(
+            {},
+            optional={
+                "linear_rate": log_uniform(-8.0, 160.0) | log_uniform(-8.0, 160.0).map(lambda r: -r),
+                "random_walk_sigma": st.just(0.0) | log_uniform(-8.0, 160.0),
+            },
+        ),
+    },
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(detector=BATTERY_DETECTORS, seed=st.integers(0, 3))
+def test_characterize_answers_finitely_or_refuses_at_load(tmp_path_factory, detector, seed):
+    base = tmp_path_factory.mktemp("battery")
+    doc = {"run": "characterize", "n_pulses": 50, "seed": seed, "out_dir": str(base / "out"),
+           "detector": detector}
+    try:
+        config = load_config(write_config(base, doc))
+    except ConfigError:
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run_characterize(config)
+    finite_artifacts(base / "out")
 
 
 class TestRerunIntoOutDir:
