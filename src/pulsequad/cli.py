@@ -246,9 +246,8 @@ class ExperimentConfig:
         # the battery calibrates against shot noise, which a blind photodiode lacks
         if self.run == "characterize" and self.detector.eta_pd == 0:
             raise ConfigError("characterize needs detector.eta_pd > 0: there is no shot noise")
-        fault = self.run == "characterize" and _battery_fault(self.detector, self.n_pulses)
-        if fault:
-            raise ConfigError(f"characterize cannot compute its battery for this detector: {fault}")
+        if self.run == "characterize":
+            _check_battery_range(self.detector, self.n_pulses)
         # characterize samples no configured state; trace-export samples at DEFAULT_CUTOFF
         cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
         if self.run in cutoffs:
@@ -409,8 +408,9 @@ def _allan_block_pulses(det: DetectorConfig) -> int:
     return int(round(det.f_rep * ALLAN_BLOCK_S))
 
 
-def _battery_fault(det: DetectorConfig, n_pulses: int) -> str | None:
-    """Why the characterize battery's float64 arithmetic fails for ``det``, or None.
+def _check_battery_range(det: DetectorConfig, n_pulses: int) -> None:
+    """Raise ConfigError if the characterize battery's float64 arithmetic
+    cannot be carried out for ``det``.
 
     Bounds from the detector model: a pulse area is the leakage plus
     ``area_scale`` times a quadrature, which the sampling grid keeps within
@@ -420,48 +420,40 @@ def _battery_fault(det: DetectorConfig, n_pulses: int) -> str | None:
     its walk.
     """
     s, leak, var_elec = area_scale(det), leakage_area(det), det.elec_noise_area_var
-    drift = det.drift
+    rate, walk = abs(det.drift.linear_rate), det.drift.random_walk_sigma
 
-    def excursion(m: float) -> float:  # in quadrature units
-        return abs(drift.linear_rate) * m / det.f_rep + drift.random_walk_sigma * math.sqrt(m)
+    def drift(m: float) -> float:  # in quadrature units
+        return rate * m / det.f_rep + walk * math.sqrt(m)
 
-    # the CC records are calibrated against their own vacuum areas; the drift
-    # starts from 0 in every record, so it widens the areas as much as it
-    # offsets them, and only the leakage can outgrow their spread
-    if not leak <= CALIBRATION_MAX_OFFSET * s * math.sqrt(VACUUM_VARIANCE):
-        return (
-            f"the leakage area exceeds {CALIBRATION_MAX_OFFSET:g} shot-noise"
-            " standard deviations of a pulse area"
-        )
-    # the CMRR divides the single-diode line by the balanced trace's PSD at
-    # f_rep; the single-diode area is sqrt(n_lo / 8) shot-noise areas, so
-    # with fewer LO photons that ratio can underflow against a steep drift
     n_lo = photons_per_pulse(det.p_lo, det.wavelength, det.f_rep)
-    if not n_lo >= 1.0:
-        return f"the LO delivers {n_lo:.3g} photons per pulse, fewer than one"
     shot_var = s * s * VACUUM_VARIANCE
-    spread = s * excursion(n_pulses)  # the drift's share of a record's areas
-    area = leak + s * (SAMPLE_GRID_HALFSPAN + excursion(max(n_pulses, SPECTRUM_PULSES)))
+    least_var = min(POWER_FRACTIONS[0] * shot_var, var_elec or math.inf)
+    spread = s * drift(n_pulses)  # the drift's share of a record's areas
+    area = leak + s * (SAMPLE_GRID_HALFSPAN + drift(max(n_pulses, SPECTRUM_PULSES)))
     area = max(area, single_diode_pulse_area(det))
-    smallest = {
-        "LO power": POWER_FRACTIONS[0] * det.p_lo,
-        "pulse-area variance": min(POWER_FRACTIONS[0] * shot_var, var_elec or math.inf),
-    }
-    largest = {
-        "LO power": det.p_lo,
-        "pulse-area variance": shot_var + spread * spread + var_elec,
-        "pulse area": area,
-        "trace sample": (area + 10.0 * math.sqrt(var_elec)) * det.sample_rate,
-        "drift over the Allan records": excursion(ALLAN_DURATION_S * det.f_rep),
-    }
     low, high = BATTERY_RANGE
-    for name, value in smallest.items():
-        if not value >= low:
-            return f"the smallest {name}, {value:.3g}, is below {low:.3g}"
-    for name, value in largest.items():
-        if not value <= high:
-            return f"the largest {name}, {value:.3g}, is above {high:.3g}"
-    return None
+    bounds = (  # what, its value, the least and the most it may be
+        # the CC records are calibrated against their own vacuum areas; the
+        # drift starts from 0 in every record, so it widens the areas as much
+        # as it offsets them, and only the leakage can outgrow their spread
+        ("leakage area", leak, 0.0, CALIBRATION_MAX_OFFSET * s * math.sqrt(VACUUM_VARIANCE)),
+        # the CMRR divides the single-diode line by the balanced trace's PSD at
+        # f_rep; the single-diode area is sqrt(n_lo / 8) shot-noise areas, so
+        # with fewer LO photons that ratio can underflow against a steep drift
+        ("LO photons per pulse", n_lo, 1.0, math.inf),
+        ("LO power", det.p_lo, low / POWER_FRACTIONS[0], high),
+        ("smallest pulse-area variance", least_var, low, high),
+        ("largest pulse-area variance", shot_var + spread * spread + var_elec, 0.0, high),
+        ("largest pulse area", area, 0.0, high),
+        ("largest trace sample", (area + 10.0 * math.sqrt(var_elec)) * det.sample_rate, 0.0, high),
+        ("drift over the Allan records", drift(ALLAN_DURATION_S * det.f_rep), 0.0, high),
+    )
+    for what, value, least, most in bounds:
+        if not least <= value <= most:
+            raise ConfigError(
+                f"characterize cannot run its battery on this detector: the {what},"
+                f" {value:.3g}, lies outside [{least:.3g}, {most:.3g}]"
+            )
 
 
 def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:

@@ -757,7 +757,7 @@ def test_characterize_probe_answers_or_exits_2(tmp_path, capsys, probe):
 
 
 def finite_artifacts(out):
-    """Whether report.json and every CSV in ``out`` hold only finite numbers."""
+    """Check that report.json and every CSV in ``out`` hold only finite numbers."""
 
     def refuse(constant):
         raise ValueError(constant)
@@ -799,7 +799,9 @@ BATTERY_DETECTORS = st.fixed_dictionaries(
         "drift": st.fixed_dictionaries(
             {},
             optional={
-                "linear_rate": log_uniform(-8.0, 160.0) | log_uniform(-8.0, 160.0).map(lambda r: -r),
+                "linear_rate": st.builds(
+                    lambda sign, rate: sign * rate, st.sampled_from([-1.0, 1.0]), log_uniform(-8.0, 160.0)
+                ),
                 "random_walk_sigma": st.just(0.0) | log_uniform(-8.0, 160.0),
             },
         ),
