@@ -17,7 +17,9 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results/characterize", help="output directory")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pulses", type=int, default=40_000, help="pulses per power point")
+    parser.add_argument(
+        "--pulses", type=int, default=None, help="pulses per power point (default: the run's)"
+    )
     args = parser.parse_args()
 
     config = ExperimentConfig(

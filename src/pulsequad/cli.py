@@ -150,8 +150,8 @@ class TomographyOptions:
         # truncated at the edges of the sampling grid
         if not 2 <= self.cutoff <= SAMPLE_GRID_MAX_CUTOFF:
             raise ConfigError(f"tomography cutoff must lie in [2, {SAMPLE_GRID_MAX_CUTOFF}]")
-        if not (self.bin_width > 0 and self.tol > 0 and self.max_iter >= 1):
-            raise ConfigError("bin_width, tol and max_iter must be positive")
+        if not (self.tol > 0 and self.max_iter >= 1):
+            raise ConfigError("tol and max_iter must be positive")
         # bin indices across the sampling grid must stay exact integers, and a
         # bin wider than the grid holds every sample
         grid_span = 2.0 * SAMPLE_GRID_HALFSPAN
@@ -218,7 +218,7 @@ class ExperimentConfig:
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     state: StateModel = field(default_factory=StateModel.vacuum)
     phases: PhaseSchedule = field(default_factory=PhaseSchedule)
-    n_pulses: int = 0
+    n_pulses: int | None = None  # None: DEFAULT_N_PULSES[run]
     seed: int = 0
     out_dir: str = "."
     tomography: TomographyOptions = field(default_factory=TomographyOptions)
@@ -226,35 +226,26 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.run not in RUN_KINDS:
             raise ConfigError(f"run must be one of {RUN_KINDS}")
-        # characterize takes sample variances over n_pulses pulse areas
-        min_pulses = 2 if self.run == "characterize" else 1
-        if self.n_pulses < min_pulses:
-            raise ConfigError(f"n_pulses must be at least {min_pulses} for run {self.run!r}")
+        if self.n_pulses is None:
+            object.__setattr__(self, "n_pulses", DEFAULT_N_PULSES[self.run])
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        # characterize draws no phase schedule
-        if self.run != "characterize" and self.phases.settings > self.n_pulses:
+        if self.run == "characterize":  # draws no phase schedule and samples no configured state
+            _check_battery_range(self.detector, self.n_pulses)
+            return
+        if self.n_pulses < 1:
+            raise ConfigError(f"n_pulses must be at least 1 for run {self.run!r}")
+        if self.phases.settings > self.n_pulses:
             raise ConfigError(
                 f"{self.phases.settings} phase settings need at least as many pulses,"
                 f" not {self.n_pulses}"
             )
-        if self.run == "characterize" and _allan_block_pulses(self.detector) < 1:
-            raise ConfigError(
-                f"characterize needs at least one pulse per {ALLAN_BLOCK_S:g} s Allan block;"
-                f" f_rep {self.detector.f_rep:g} Hz gives none"
-            )
-        # the battery calibrates against shot noise, which a blind photodiode lacks
-        if self.run == "characterize" and self.detector.eta_pd == 0:
-            raise ConfigError("characterize needs detector.eta_pd > 0: there is no shot noise")
-        if self.run == "characterize":
-            _check_battery_range(self.detector, self.n_pulses)
-        # characterize samples no configured state; trace-export samples at DEFAULT_CUTOFF
-        cutoffs = {"tomography": self.tomography.cutoff, "trace-export": DEFAULT_CUTOFF}
-        if self.run in cutoffs:
-            try:
-                state_density_matrix(self.state, cutoffs[self.run])
-            except ValueError as exc:  # a Fock state, or a mixture's, at or above the cutoff
-                raise ConfigError(f"{self.run} state: {exc}") from None
+        # trace-export samples the state at DEFAULT_CUTOFF
+        cutoff = self.tomography.cutoff if self.run == "tomography" else DEFAULT_CUTOFF
+        try:
+            state_density_matrix(self.state, cutoff)
+        except ValueError as exc:  # a Fock state, or a mixture's, at or above the cutoff
+            raise ConfigError(f"{self.run} state: {exc}") from None
 
 
 def _coerce(hint, value, where: str):
@@ -323,13 +314,10 @@ def load_config(
     cfg_run = doc.setdefault("run", run)
     if run is not None and cfg_run != run:
         raise ConfigError(f"config run {cfg_run!r} does not match subcommand {run!r}")
-    if cfg_run not in RUN_KINDS:
-        raise ConfigError(f"config.run must be one of {RUN_KINDS}")
     if seed_override is not None:
         doc["seed"] = seed_override
     if out_override is not None:
         doc["out_dir"] = out_override
-    doc.setdefault("n_pulses", DEFAULT_N_PULSES[cfg_run])
     return _from_json(ExperimentConfig, doc, "config")
 
 
@@ -409,8 +397,8 @@ def _allan_block_pulses(det: DetectorConfig) -> int:
 
 
 def _check_battery_range(det: DetectorConfig, n_pulses: int) -> None:
-    """Raise ConfigError if the characterize battery's float64 arithmetic
-    cannot be carried out for ``det``.
+    """Raise ConfigError if the characterize battery cannot be carried out
+    on ``n_pulses`` pulses of ``det`` in float64.
 
     Bounds from the detector model: a pulse area is the leakage plus
     ``area_scale`` times a quadrature, which the sampling grid keeps within
@@ -428,11 +416,14 @@ def _check_battery_range(det: DetectorConfig, n_pulses: int) -> None:
     n_lo = photons_per_pulse(det.p_lo, det.wavelength, det.f_rep)
     shot_var = s * s * VACUUM_VARIANCE
     least_var = min(POWER_FRACTIONS[0] * shot_var, var_elec or math.inf)
-    spread = s * drift(n_pulses)  # the drift's share of a record's areas
+    spread = s * drift(max(n_pulses, 0))  # the drift's share of a record's areas
     area = leak + s * (SAMPLE_GRID_HALFSPAN + drift(max(n_pulses, SPECTRUM_PULSES)))
     area = max(area, single_diode_pulse_area(det))
     low, high = BATTERY_RANGE
     bounds = (  # what, its value, the least and the most it may be
+        # the battery takes sample variances of every record's areas
+        ("number of pulses", n_pulses, 2, math.inf),
+        ("number of pulses per Allan block", _allan_block_pulses(det), 1, math.inf),
         # the CC records are calibrated against their own vacuum areas; the
         # drift starts from 0 in every record, so it widens the areas as much
         # as it offsets them, and only the leakage can outgrow their spread
@@ -442,6 +433,8 @@ def _check_battery_range(det: DetectorConfig, n_pulses: int) -> None:
         # with fewer LO photons that ratio can underflow against a steep drift
         ("LO photons per pulse", n_lo, 1.0, math.inf),
         ("LO power", det.p_lo, low / POWER_FRACTIONS[0], high),
+        # the battery calibrates against shot noise, which a blind photodiode lacks
+        ("shot-noise area variance", shot_var, low, high),
         ("smallest pulse-area variance", least_var, low, high),
         ("largest pulse-area variance", shot_var + spread * spread + var_elec, 0.0, high),
         ("largest pulse area", area, 0.0, high),
@@ -451,7 +444,7 @@ def _check_battery_range(det: DetectorConfig, n_pulses: int) -> None:
     for what, value, least, most in bounds:
         if not least <= value <= most:
             raise ConfigError(
-                f"characterize cannot run its battery on this detector: the {what},"
+                f"characterize cannot run its battery: the {what},"
                 f" {value:.3g}, lies outside [{least:.3g}, {most:.3g}]"
             )
 
