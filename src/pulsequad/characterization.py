@@ -4,6 +4,7 @@ common-mode rejection, Allan stability and the time-bandwidth product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -60,10 +61,11 @@ class AllanCurve:
 
     def __post_init__(self):
         taus = np.asarray(self.taus, dtype=float)
-        if taus.size and np.any(np.diff(taus) <= 0):
-            raise ValueError("taus must be strictly increasing")
-        if np.any(np.asarray(self.deviations) < 0):
-            raise ValueError("deviations must be nonnegative")
+        if not (np.all(np.isfinite(taus)) and np.all(np.diff(taus) > 0)):
+            raise ValueError("taus must be finite and strictly increasing")
+        devs = np.asarray(self.deviations)
+        if not np.all((devs >= 0) & (devs < math.inf)):  # NaN fails both
+            raise ValueError("deviations must be nonnegative and finite")
         if np.any(np.asarray(self.n_pairs) < 1):
             raise ValueError("every point needs at least one adjacent pair")
 
@@ -119,6 +121,8 @@ def variance_vs_power(points) -> NoiseCurve:
     The intercept estimates the LO-independent electronic-noise variance.
     """
     pts = np.asarray(points, dtype=float)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("points must be finite")
     # distinct powers counted on a sorted copy: np.unique would import numpy.ma
     powers = np.sort(pts[:, 0]) if pts.ndim == 2 and pts.shape[1] == 2 else np.zeros(0)
     if np.count_nonzero(powers[1:] != powers[:-1]) + 1 < 3:
@@ -206,8 +210,10 @@ def allan_deviation(batch: QuadratureBatch, f_rep: float, taus) -> AllanCurve:
     pairs = np.empty(taus.size, dtype=int)
     c = np.zeros(x.size + 1)
     np.cumsum(x - x.mean() if x.size else x, out=c[1:])
-    for i, tau in enumerate(taus):
-        product = f_rep * tau
+    for i, tau in enumerate(taus.tolist()):
+        product = float(f_rep) * tau  # a Python float overflows to inf without a warning
+        if not math.isfinite(product):
+            raise ValueError(f"tau {tau} at f_rep {f_rep} spans no finite number of samples")
         n_block = int(np.floor(product))
         if product - n_block > 1.0 - 1e-6:  # absorb float dust just below an integer
             n_block += 1
@@ -281,6 +287,8 @@ def noise_spectrum(chunks, segment_len: int, sample_rate: float) -> SpectrumEsti
     """
     if segment_len < 2 or segment_len & (segment_len - 1):
         raise ValueError("segment_len must be a power of two")
+    if not 0 < sample_rate < math.inf:
+        raise ValueError("sample_rate must be positive and finite")
     per_block = max(1, SPECTRUM_BLOCK_SAMPLES // segment_len)
     # centred samples awaiting transform, their spectra and periodograms
     buf = np.empty((per_block, segment_len))
@@ -305,6 +313,8 @@ def noise_spectrum(chunks, segment_len: int, sample_rate: float) -> SpectrumEsti
         x = np.asarray(chunk, dtype=float).reshape(-1)
         if not x.size:
             continue
+        if not np.all(np.isfinite(x)):
+            raise ValueError("chunks must hold finite samples")
         chunk_sum = x.sum()
         if center is None:
             center = chunk_sum / x.size
@@ -366,13 +376,16 @@ def cmrr_db(balanced: SpectrumEstimate, blocked: SpectrumEstimate, f_rep: float)
     if not balanced.freqs[0] <= f_rep <= balanced.freqs[-1]:
         raise ValueError("repetition rate lies outside the spectrum grid")
     k = int(np.argmin(np.abs(balanced.freqs - f_rep)))
+    for name, spectrum in (("balanced", balanced), ("blocked", blocked)):
+        if not 0 < spectrum.psd[k] < math.inf:
+            raise ValueError(f"the {name} PSD at the repetition rate must be positive and finite")
     return float(10.0 * np.log10(blocked.psd[k] / balanced.psd[k]))
 
 
 def time_bandwidth_product(bandwidth_hz: float, stability_interval_s: float) -> float:
     """Number of resolvable samples per calibration interval, ``df * dt``."""
-    if bandwidth_hz <= 0 or stability_interval_s <= 0:
-        raise ValueError("bandwidth and stability interval must be positive")
+    if not (0 < bandwidth_hz < math.inf and 0 < stability_interval_s < math.inf):
+        raise ValueError("bandwidth_hz and stability_interval_s must be positive and finite")
     return bandwidth_hz * stability_interval_s
 
 

@@ -303,7 +303,7 @@ def load_config(
 ) -> ExperimentConfig:
     """Parse and validate a JSON experiment config; unknown keys are errors."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
@@ -344,7 +344,7 @@ def _atomic(out: str, name: str, write_fn, *args) -> None:
 
 
 def _write_json(doc: dict, path) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
@@ -353,7 +353,7 @@ def _prepare_out_dir(config: ExperimentConfig) -> str:
     try:
         os.makedirs(out, exist_ok=True)
         probe = os.path.join(out, ".write-probe")
-        with open(probe, "w") as fh:
+        with open(probe, "w", encoding="utf-8") as fh:
             fh.write("")
         os.remove(probe)
     except OSError as exc:

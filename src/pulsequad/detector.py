@@ -145,8 +145,9 @@ class TraceBuffer:
 
 def photons_per_pulse(p_lo: float, wavelength: float, f_rep: float) -> float:
     """Mean LO photon number per pulse, ``(P/f_rep) / (h c / lambda)``."""
-    if p_lo <= 0 or wavelength <= 0 or f_rep <= 0:
-        raise ValueError("power, wavelength and repetition rate must be positive")
+    for name, value in (("p_lo", p_lo), ("wavelength", wavelength), ("f_rep", f_rep)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite")
     return (p_lo / f_rep) / (PLANCK * SPEED_OF_LIGHT / wavelength)
 
 

@@ -7,6 +7,7 @@ dimensionless quadratures.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +82,8 @@ def segment_pulses(trace, f_rep: float, t_first: float, tau_p: float) -> np.ndar
     shape (n_windows, 2) holding half-open ``[start, stop)`` sample ranges;
     windows that would stick out of the trace are dropped.
     """
-    if tau_p <= 0 or f_rep <= 0:
-        raise ValueError("f_rep and tau_p must be positive")
+    if not (0 < tau_p < math.inf and 0 < f_rep < math.inf):
+        raise ValueError("f_rep and tau_p must be positive and finite")
     period = 1.0 / f_rep
     if tau_p > period * (1 + 1e-12):
         raise ValueError("window duration exceeds the pulse period")
@@ -93,6 +94,8 @@ def segment_pulses(trace, f_rep: float, t_first: float, tau_p: float) -> np.ndar
     n = len(trace.samples)
     spp = fs * period
     c0 = (t_first - trace.t0) * fs
+    if not abs(c0) < 2**53:  # sample indices stay exact integers
+        raise ValueError("t_first must lie within 2**53 samples of the trace start")
     k_lo = int(np.floor(-c0 / spp)) - 1
     k_hi = int(np.ceil((n - c0) / spp)) + 1
     k = np.arange(k_lo, k_hi)
@@ -182,7 +185,7 @@ def write_csv(path, header: str, columns) -> None:
 
 def _write_csv_blocks(path, header: str, blocks) -> None:
     """:func:`write_csv` over an iterable of column blocks, written in turn."""
-    with open(path, "w", newline="\n") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
         for columns in blocks:
             cols = [np.asarray(c) for c in columns]

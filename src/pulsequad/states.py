@@ -567,7 +567,7 @@ def fidelity_pure(rho: DensityMatrix, target) -> float:
     if vec.shape != (rho.dim,):
         raise ValueError("target dimension does not match the density matrix")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError("target state vector must be normalized")
+    if not abs(norm - 1.0) <= 1e-6:  # NaN fails too
+        raise ValueError("target state vector must be finite and normalized")
     val = np.real(vec.conj() @ rho.elements @ vec)
     return float(min(max(val, 0.0), 1.0))

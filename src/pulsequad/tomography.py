@@ -194,6 +194,8 @@ def mle_reconstruct(
         raise ValueError(f"bin_width must lie in (0, {2 * SAMPLE_GRID_HALFSPAN:g}]")
     if not 0.0 < eta <= 1.0:
         raise ValueError("detection efficiency must lie in (0, 1]")
+    if not 0 <= max_iter < math.inf:
+        raise ValueError("max_iter must be finite and nonnegative")
     if not tol >= 0.0:  # a negative or NaN tol would accept steps that lower the likelihood
         raise ValueError("tol must be nonnegative")
     if len(batch) == 0:

@@ -205,6 +205,13 @@ class TestAllanDeviation:
         with pytest.raises(ValueError):
             allan_deviation(batch, 1.0, [60.0])
 
+    @pytest.mark.parametrize("f_rep, tau", [(1.0, math.nan), (math.inf, 1.0), (1e300, 1e10)])
+    def test_non_finite_block_length(self, f_rep, tau):
+        # an overflowing product of two finite values included
+        batch = QuadratureBatch(values=np.arange(100.0))
+        with pytest.raises(ValueError, match="finite"):
+            allan_deviation(batch, f_rep, [tau])
+
     @settings(max_examples=20, deadline=None)
     @given(c=st.floats(min_value=1e-3, max_value=1e3))
     def test_scale_equivariance(self, c):
@@ -304,6 +311,18 @@ class TestStabilityInterval:
         )
         with pytest.raises(ValueError):
             find_stability_interval(curve)
+
+    @pytest.mark.parametrize(
+        "taus, deviations",
+        [
+            ([1.0, 2.0, math.inf], [3.0, 2.0, 1.0]),
+            ([math.nan], [1.0]),
+            ([1.0, 2.0], [1.0, math.inf]),
+        ],
+    )
+    def test_curve_must_be_finite(self, taus, deviations):
+        with pytest.raises(ValueError, match="taus|deviations"):
+            AllanCurve(taus=taus, deviations=deviations, n_pairs=np.ones(len(taus), dtype=int))
 
 
 class TestAveragedAllan:
@@ -441,6 +460,14 @@ class TestChunkedSpectrum:
         streamed = noise_spectrum(chunks, 256, sample_rate=1e6)
         assert np.max(np.abs(streamed.psd / whole.psd - 1)) <= 1e-12
 
+    def test_non_finite_input(self):
+        # inf - inf is formed by neither the chunk sum nor the transform
+        with pytest.raises(ValueError, match="samples"):
+            noise_spectrum([np.zeros(128), np.r_[np.inf, -np.inf]], 128, sample_rate=1e6)
+        for rate in (-1e6, math.inf):
+            with pytest.raises(ValueError, match="sample_rate"):
+                noise_spectrum([np.zeros(256)], 128, sample_rate=rate)
+
     def test_shorter_than_one_segment(self):
         with pytest.raises(ValueError, match="shorter"):
             noise_spectrum([np.zeros(100), np.zeros(27)], 128, sample_rate=1e6)
@@ -526,6 +553,18 @@ class TestCmrr:
         )
         with pytest.raises(ValueError):
             cmrr_db(spec, spec, 80e6)
+        with pytest.raises(ValueError):
+            cmrr_db(spec, spec, math.nan)
+
+    @pytest.mark.parametrize("line", [0.0, math.inf, math.nan])
+    def test_blocked_line_must_be_positive_and_finite(self, line):
+        freqs = np.linspace(0, 1e9, 257)
+        balanced = SpectrumEstimate(freqs=freqs, psd=np.ones(freqs.size), resolution_hz=freqs[1])
+        blocked = SpectrumEstimate(
+            freqs=freqs, psd=np.full(freqs.size, line), resolution_hz=freqs[1]
+        )
+        with pytest.raises(ValueError, match="blocked"):
+            cmrr_db(balanced, blocked, 80e6)
 
     def test_round_trip_through_simulation(self):
         cfg = DetectorConfig(drift=DriftModel(linear_rate=0.0))
@@ -582,5 +621,6 @@ class TestReport:
     def test_time_bandwidth_product(self):
         assert time_bandwidth_product(80e6, 2.0) == pytest.approx(1.6e8)
         assert time_bandwidth_product(1.0, 1.0) == 1.0
-        with pytest.raises(ValueError):
-            time_bandwidth_product(-1.0, 2.0)
+        for args in [(-1.0, 2.0), (80e6, math.nan), (80e6, math.inf), (80e6, 0.0)]:
+            with pytest.raises(ValueError):
+                time_bandwidth_product(*args)

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 import pulsequad
 from pulsequad import cli, states
 from pulsequad.cli import (
+    DEFAULT_N_PULSES,
     RUN_KINDS,
     ConfigError,
     ExperimentConfig,
@@ -66,6 +67,12 @@ class TestConfigParsing:
         assert cfg.run == "trace-export"
         assert cfg.n_pulses == 100
         assert cfg.seed == 0
+
+    @pytest.mark.parametrize("run", RUN_KINDS)
+    def test_n_pulses_defaults_to_the_runs(self, tmp_path, run):
+        assert ExperimentConfig(run=run).n_pulses == DEFAULT_N_PULSES[run]
+        path = write_config(tmp_path, {"run": run, "n_pulses": None})
+        assert load_config(path) == ExperimentConfig(run=run)
 
     def test_unknown_top_level_key(self, tmp_path):
         path = write_config(tmp_path, {"run": "trace-export", "n_pulse": 5})
@@ -281,6 +288,18 @@ CONFIG_FAULTS = {
 }
 
 
+# what the characterize faults that once had checks of their own report
+FAULT_QUANTITIES = {
+    "characterize single pulse": "the number of pulses, 1,",
+    **{
+        f"characterize f_rep {f_rep:g}": "the number of pulses per Allan block, 0,"
+        for f_rep in (100.0, 400.0, 500.0)
+    },
+    "characterize eta_pd 0": "the shot-noise area variance, 0,",
+    "characterize eta_pd 0 with electronic noise": "the shot-noise area variance, 0,",
+}
+
+
 @pytest.mark.parametrize("fault", sorted(CONFIG_FAULTS))
 def test_config_fault_exits_2(tmp_path, capsys, fault):
     doc = {"run": "tomography", "n_pulses": 200, "out_dir": str(tmp_path / "out")}
@@ -291,6 +310,7 @@ def test_config_fault_exits_2(tmp_path, capsys, fault):
     assert err.startswith("pulsequad: config error: ")
     assert err.count("\n") == 1
     assert "Traceback" not in err
+    assert FAULT_QUANTITIES.get(fault, "") in err
     assert not (tmp_path / "out").exists()
 
 
@@ -838,7 +858,7 @@ class TestRerunIntoOutDir:
 
     def test_failing_writer_keeps_the_previous_artifact(self, tmp_path):
         def write(text, path):
-            with open(path, "w") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
             if text == "second":
                 raise RuntimeError("writer failed")
@@ -1020,6 +1040,22 @@ def test_runs_leave_numpy_polynomial_unimported(tmp_path):
     assert sorted(m for m in modules if m.startswith("numpy.polynomial")) == []
     assert (tmp_path / "tomography" / "wigner.csv").exists()
     assert (tmp_path / "trace-export" / "trace.bin").exists()
+
+
+MAIN_SCRIPT = "import sys; from pulsequad.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+@pytest.mark.parametrize("run", RUN_KINDS)
+def test_runs_name_their_text_encoding(tmp_path, run):
+    # JSON is UTF-8 whatever the locale: every text open() says so, and any
+    # that relied on the locale default would raise here and exit 3
+    doc = {"run": run, "n_pulses": 20, "out_dir": str(tmp_path / "out")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+         "-c", MAIN_SCRIPT, run, "--config", write_config(tmp_path, doc)],
+        env=fresh_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 # The probe is registered before the CLI module is imported, and atexit hooks

@@ -65,7 +65,14 @@ class TestScalingOracles:
         assert half == pytest.approx(full / 2, rel=1e-12)
 
     def test_photons_per_pulse_domain_errors(self):
-        for args in [(0.0, 830e-9, 80e6), (5e-3, -1e-9, 80e6), (5e-3, 830e-9, 0.0)]:
+        for args in [
+            (0.0, 830e-9, 80e6),
+            (5e-3, -1e-9, 80e6),
+            (5e-3, 830e-9, 0.0),
+            (math.inf, 830e-9, 80e6),
+            (5e-3, math.nan, 80e6),
+            (5e-3, 830e-9, math.inf),
+        ]:
             with pytest.raises(ValueError):
                 photons_per_pulse(*args)
 

@@ -56,6 +56,20 @@ class TestSegmentPulses:
         with pytest.raises(ValueError):
             segment_pulses(make_trace(2500), 80e6, 0.0, 13e-9)
 
+    @pytest.mark.parametrize(
+        "f_rep, t_first, tau_p",
+        [
+            (80e6, 0.0, math.nan),
+            (math.nan, 0.0, 12.5e-9),
+            (80e6, math.nan, 12.5e-9),
+            (80e6, 1e300, 12.5e-9),
+        ],
+    )
+    def test_non_finite_or_far_arguments_rejected(self, f_rep, t_first, tau_p):
+        # a t_first 1e300 s away overflowed its sample index
+        with pytest.raises(ValueError, match="f_rep|t_first"):
+            segment_pulses(make_trace(2500), f_rep, t_first, tau_p)
+
     def test_windows_follow_t_first(self):
         # a sub-period shift moves every window; the last one no longer fits
         trace = make_trace(2500)

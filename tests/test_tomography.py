@@ -173,6 +173,9 @@ class TestMleReconstruct:
         for tol in (-1e-9, float("nan")):  # would accept steps that lower the likelihood
             with pytest.raises(ValueError, match="tol"):
                 mle_reconstruct(batch, 4, tol=tol)
+        for max_iter in (-1, float("inf")):
+            with pytest.raises(ValueError, match="max_iter"):
+                mle_reconstruct(batch, 4, max_iter=max_iter)
 
     def test_non_convergence_flagged(self):
         phases = np.repeat(np.arange(5) * np.pi / 5, 2000)
