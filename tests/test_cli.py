@@ -1151,7 +1151,7 @@ SURFACE_RUNS = [
 def readme_library_names():
     """The backquoted names that head the items of the README's "Library"
     section (each item's text up to its first colon)."""
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1].split("\n#", 1)[0]
     heads = re.findall(r"^- (.*?):", section, flags=re.MULTILINE)
     return {name for head in heads for name in re.findall(r"`([\w.]+)`", head)}
