@@ -38,9 +38,11 @@ SPEED_OF_LIGHT = 2.99792458e8
 TRACE_MAGIC = b"PQTRACE2"
 TRACE_HEADER = struct.Struct("<8sdQd")  # magic, sample rate, sample count, t0
 
-BLOCK_PULSES = 4096  # pulse periods synthesized at a time (0.8 MB at 25 samples)
-# the most samples per period a config may ask for: a trace block buffer then
-# holds at most BLOCK_PULSES x 4096 floats (128 MiB), and a run holds two per thread
+# trace samples synthesized at a time, in whole pulse periods (2,621 periods
+# at 25 samples): a block buffer holds at most 512 KiB at any oversampling
+BLOCK_SAMPLES = 2**16
+# the most samples per period a config may ask for: one period is then 32 KiB,
+# and a block 16 periods
 MAX_SAMPLES_PER_PERIOD = 4096
 
 DEFAULT_SNR_DB = 14.5
@@ -227,8 +229,9 @@ def _trace_t0(config: DetectorConfig) -> float:
 def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
     """Yield the trace of the per-pulse ``areas`` as row blocks, in stream order.
 
-    Each block is a ``(<= BLOCK_PULSES, samples_per_period)`` array whose row
-    k is the period of one pulse: white electronic noise from stream 2 of
+    Each block is a ``(rows, samples_per_period)`` array, ``rows`` at most
+    ``max(1, BLOCK_SAMPLES // samples_per_period)``, whose row k is the
+    period of one pulse: white electronic noise from stream 2 of
     ``seed``, scaled in place, plus the pulse added in place.  The normals
     are drawn in stream order, so the rows are the same floats whatever
     the block size, and they equal ``outer(areas, shape) + normal(0, sigma)``.
@@ -242,11 +245,12 @@ def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
     shape = _pulse_shape(config)
     sigma = _noise_sigma(config)
     rng = _seeded_rng(seed, 2) if config.elec_noise_area_var > 0 else None
-    rows = min(BLOCK_PULSES, areas.size)
+    step = max(1, BLOCK_SAMPLES // shape.size)
+    rows = min(step, areas.size)
     pulses_buf = np.empty((rows, shape.size))
     block_buf = np.empty((rows, shape.size)) if rng is not None else None
-    for start in range(0, areas.size, BLOCK_PULSES):
-        chunk = areas[start : start + BLOCK_PULSES, None]
+    for start in range(0, areas.size, step):
+        chunk = areas[start : start + step, None]
         pulses = np.multiply(chunk, shape, out=pulses_buf[: chunk.shape[0]])
         if rng is None:
             yield pulses
@@ -300,8 +304,9 @@ def generate_areas(
     config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int
 ) -> np.ndarray:
     """Integrated pulse areas of the trace that ``trace-export`` writes for the
-    same arguments, synthesized and integrated ``BLOCK_PULSES`` periods at a
-    time and never held.
+    same arguments, synthesized and integrated about ``BLOCK_SAMPLES``
+    samples (whole periods) at a time and never held, so the working set
+    does not grow with the samples per period.
 
     Pulse k is centred at ``k / f_rep``, half a period after the trace starts.
     The areas equal, bit for bit, ``pulse_areas(trace, segment_pulses(trace,

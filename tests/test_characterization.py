@@ -435,7 +435,7 @@ class TestChunkedSpectrum:
     @pytest.mark.parametrize("segment_len", [2**10, 2**15])
     @pytest.mark.parametrize("record", ["vacuum", "dark", "single diode"])
     def test_pulse_blocks_match_assembled_trace(self, segment_len, record):
-        # 4,096-pulse blocks of 102,400 samples: 2**15-sample segments span blocks
+        # 2,621-pulse blocks of 65,525 samples: 2**15-sample segments span blocks
         det = DetectorConfig()
         n = SPECTRUM_PULSES
         areas = {

@@ -37,6 +37,7 @@ from pulsequad.cli import (
     run_trace_export,
 )
 from pulsequad.detector import (
+    BLOCK_SAMPLES,
     PULSE_SHAPES,
     DetectorConfig,
     DriftModel,
@@ -471,10 +472,12 @@ class TestTraceExport:
         assert (out1 / "trace.bin").read_bytes() != (out2 / "trace.bin").read_bytes()
 
     @pytest.mark.parametrize("shape", PULSE_SHAPES)
-    @pytest.mark.parametrize("n_pulses", [1, 4095, 4096, 4097, 8193])
+    @pytest.mark.parametrize(
+        "n_pulses", [1, *(BLOCK_SAMPLES // 25 + k for k in (0, 1)), 4095, 4096, 4097, 8193]
+    )
     def test_streamed_export_equals_assembled_trace(self, tmp_path, n_pulses, shape):
-        # the run writes pulse block by pulse block; the n_pulses straddle
-        # the 4,096-pulse block edges
+        # the run writes pulse block by pulse block; 2,621 and 2,622 pulses
+        # end on and just past the first edge of blocks of 25-sample periods
         self.check_streamed_export(tmp_path, n_pulses, {"pulse_shape": shape})
 
     def test_streamed_export_of_noiseless_detector(self, tmp_path):

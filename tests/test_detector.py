@@ -1,8 +1,8 @@
 """Trace synthesis: scaling oracles, noise calibration, determinism, export."""
 
 import math
-
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pulsequad.detector import (
-    BLOCK_PULSES,
+    BLOCK_SAMPLES,
     MAX_SAMPLES_PER_PERIOD,
     PULSE_SHAPES,
     DetectorConfig,
@@ -41,6 +41,10 @@ QUIET = dict(
     cmrr_db=math.inf,
     drift=DriftModel(linear_rate=0.0, random_walk_sigma=0.0),
 )
+
+
+# pulse periods per trace block at the default detector: 2,621 of 25 samples
+BLOCK_ROWS = BLOCK_SAMPLES // DetectorConfig().samples_per_period
 
 
 def record_areas(trace, f_rep):
@@ -264,7 +268,12 @@ class TestBlockAreas:
     """The area path integrates the trace that generate_trace would return,
     block by block, and must give its segmented areas bit for bit."""
 
-    @pytest.mark.parametrize("n_pulses", [1, 2, 3, 4095, 4096, 4097, 8193, 40001])
+    # the derived counts straddle the first two block edges
+    @pytest.mark.parametrize(
+        "n_pulses",
+        [1, 2, 3, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1]
+        + [4095, 4096, 4097, 8193, 40001],
+    )
     @given(
         record=st.sampled_from(["vacuum", "electronic", "coherent-drift"]),
         shape=st.sampled_from(PULSE_SHAPES),
@@ -272,7 +281,6 @@ class TestBlockAreas:
     )
     @settings(max_examples=8, deadline=None)
     def test_equal_segmented_trace_areas(self, n_pulses, record, shape, seed):
-        assert BLOCK_PULSES == 4096  # the n_pulses cases straddle block edges
         if record == "electronic":
             cfg = DetectorConfig(pulse_shape=shape)
             trace = electronic_only_trace(cfg, n_pulses, seed)
@@ -294,6 +302,20 @@ class TestBlockAreas:
         areas = generate_areas(cfg, StateModel.vacuum(), [0.0], 5000, seed=2)
         assert np.array_equal(areas, record_areas(trace, cfg.f_rep))
         assert not np.any(electronic_only_areas(cfg, 5000, seed=2))
+
+    def test_working_set_does_not_grow_with_samples_per_period(self):
+        # blocks of 4,096 periods held 2 x 32 MiB at 1024 samples per period
+        # (a traced peak of 64.2 MiB); blocks of BLOCK_SAMPLES hold 2 x 512 KiB
+        cfg = DetectorConfig(sample_rate=1024 * 80e6)
+        state = StateModel.vacuum()
+        generate_areas(cfg, state, [0.0], 8192, seed=3)  # fills the sampler's cache
+        tracemalloc.start()
+        try:
+            generate_areas(cfg, state, [0.0], 8192, seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_rejects_empty_records(self):
         cfg = DetectorConfig()
@@ -367,8 +389,8 @@ class TestTraceExport:
         assert np.array_equal(areas, record_areas(trace, cfg.f_rep))
 
     def test_binary_header_counts_every_block(self, tmp_path):
-        # 10,000 pulses stream as three blocks of at most BLOCK_PULSES periods,
-        # and the writer's header counts the samples of all three
+        # 10,000 pulses stream as four blocks of at most BLOCK_ROWS periods,
+        # and the writer's header counts the samples of all four
         cfg = DetectorConfig()
         path = tmp_path / "trace.bin"
         _stream_trace_bin(cfg.sample_rate, -0.25, _trace_blocks(cfg, np.zeros(10_000), 3), path)
