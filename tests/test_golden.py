@@ -85,14 +85,14 @@ DIGESTS = {
         "cc.csv": "d3c36bb3e34d9c90f969a44effc1a93e7f3f2f3d036b99a4ae7d02e64064dfd2",
         "noise_curve.csv": "6407d9a5b51b93313b4c7c683aa191d0b6de170eda28321c0e412fd943147ebd",
         "report.json": "afbf0bb20d362d392d3e407e05cef9262f815ada99fcee8ba7f980b8c2c1781c",
-        "spectrum.csv": "15fae19d8b76fa3b43a3d91b1a0efd1f5e7e1222ded80aadf1f077a870308ba8",
+        "spectrum.csv": "3ceb7c75227426962140ec71207e6f958b9de57bcd8035249858920aae695a7d",
     },
     "characterize-noiseless": {
         "allan.csv": "40843c9b88a24475c97e9b7cd12838aa42a10b974ec64e78e89f4e94475b093d",
         "cc.csv": "a3c7419bc29ab8293d093e4a22adbde3c83d4ee094c3b13c6e04de47e9b3e1c9",
         "noise_curve.csv": "9a6115fe5659e8dfdd957baf88536aeccec775f20a4d0aa046ef551b88e2a713",
         "report.json": "58cdd4340d5fad48fbf2ad14e7ef5cd79d67b116d88e9fdcd225b11b8a4bc1c5",
-        "spectrum.csv": "5942c8d1814d6d658e900c8fafa320ee13582406c0d1c1f54c098d3a5099b572",
+        "spectrum.csv": "66ef33bdf435a415190e55f44cb9ff08dc482fc673d35f529e9642f3709c9bf1",
     },
     "tomo-mixture-random": {
         "photon_stats.csv": "3d3abc63be80ec73031c9f788c108a3b914efea89caad016e995d7fb0ea33c58",
