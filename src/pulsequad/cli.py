@@ -110,6 +110,8 @@ __all__ = [
 RUN_KINDS = ("characterize", "tomography", "trace-export")
 
 DEFAULT_N_PULSES = {"characterize": 40_000, "tomography": 10_000, "trace-export": 100}
+# the most float64 items one numpy array can describe (2**60 - 1 on 64 bits)
+MAX_N_PULSES = np.iinfo(np.intp).max // 8
 
 # characterization protocol constants
 POWER_FRACTIONS = (0.2, 0.4, 0.6, 0.8, 1.0)
@@ -228,6 +230,8 @@ class ExperimentConfig:
             raise ConfigError(f"run must be one of {RUN_KINDS}")
         if self.n_pulses is None:
             object.__setattr__(self, "n_pulses", DEFAULT_N_PULSES[self.run])
+        if self.n_pulses > MAX_N_PULSES:  # before any float is formed from it
+            raise ConfigError(f"n_pulses must be at most {MAX_N_PULSES}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         if self.run == "characterize":  # draws no phase schedule and samples no configured state

@@ -26,6 +26,7 @@ import pulsequad
 from pulsequad import cli, states
 from pulsequad.cli import (
     DEFAULT_N_PULSES,
+    MAX_N_PULSES,
     RUN_KINDS,
     ConfigError,
     ExperimentConfig,
@@ -337,6 +338,30 @@ def test_huge_samples_per_period_leaves_no_out_dir(tmp_path, run):
         load_config(path)
     assert main([run, "--config", path]) == 2
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("n_pulses", [10**20, 10**400])
+@pytest.mark.parametrize("run", RUN_KINDS)
+def test_n_pulses_beyond_any_array_exits_2(tmp_path, capsys, run, n_pulses):
+    # tomography and trace-export made the output directory and exited 3 with
+    # "Maximum allowed dimension exceeded"; characterize overflowed a float in
+    # its battery table and named no field
+    doc = {"run": run, "n_pulses": n_pulses, "out_dir": str(tmp_path / "out")}
+    path = write_config(tmp_path, doc)
+    assert main([run, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("pulsequad: config error: ")
+    assert err.count("\n") == 1
+    assert "n_pulses" in err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError, match="n_pulses must be at most"):
+        ExperimentConfig(run=run, n_pulses=n_pulses)
+
+
+def test_n_pulses_bound_is_exact():
+    assert ExperimentConfig(run="tomography", n_pulses=MAX_N_PULSES).n_pulses == MAX_N_PULSES
+    with pytest.raises(ConfigError, match="n_pulses must be at most"):
+        ExperimentConfig(run="tomography", n_pulses=MAX_N_PULSES + 1)
 
 
 def test_schedule_with_as_many_settings_as_pulses_loads(tmp_path):
