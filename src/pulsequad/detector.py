@@ -41,8 +41,8 @@ TRACE_HEADER = struct.Struct("<8sdQd")  # magic, sample rate, sample count, t0
 # trace samples synthesized at a time, in whole pulse periods (2,621 periods
 # at 25 samples): a block buffer holds at most 512 KiB at any oversampling
 BLOCK_SAMPLES = 2**16
-# the most samples per period a config may ask for: one period is then 32 KiB,
-# and a block 16 periods
+# the most samples per period a config may ask for: an array over one period
+# (the pulse shape, a block row) then holds at most 32 KiB, and a block 16 periods
 MAX_SAMPLES_PER_PERIOD = 4096
 
 DEFAULT_SNR_DB = 14.5
@@ -245,12 +245,11 @@ def _trace_blocks(config: DetectorConfig, areas: np.ndarray, seed: int):
     shape = _pulse_shape(config)
     sigma = _noise_sigma(config)
     rng = _seeded_rng(seed, 2) if config.elec_noise_area_var > 0 else None
-    step = max(1, BLOCK_SAMPLES // shape.size)
-    rows = min(step, areas.size)
+    rows = min(max(1, BLOCK_SAMPLES // shape.size), areas.size)
     pulses_buf = np.empty((rows, shape.size))
     block_buf = np.empty((rows, shape.size)) if rng is not None else None
-    for start in range(0, areas.size, step):
-        chunk = areas[start : start + step, None]
+    for start in range(0, areas.size, rows):
+        chunk = areas[start : start + rows, None]
         pulses = np.multiply(chunk, shape, out=pulses_buf[: chunk.shape[0]])
         if rng is None:
             yield pulses
@@ -304,9 +303,9 @@ def generate_areas(
     config: DetectorConfig, state: StateModel, phases, n_pulses: int, seed: int
 ) -> np.ndarray:
     """Integrated pulse areas of the trace that ``trace-export`` writes for the
-    same arguments, synthesized and integrated about ``BLOCK_SAMPLES``
-    samples (whole periods) at a time and never held, so the working set
-    does not grow with the samples per period.
+    same arguments, synthesized and integrated in blocks of whole periods,
+    at most ``BLOCK_SAMPLES`` samples each, and never held, so the working
+    set does not grow with the samples per period.
 
     Pulse k is centred at ``k / f_rep``, half a period after the trace starts.
     The areas equal, bit for bit, ``pulse_areas(trace, segment_pulses(trace,

@@ -50,6 +50,10 @@ from pulsequad.states import StateModel
 from reference import generate_trace, write_trace_binary, write_trace_csv
 
 
+# pulse periods per trace block at the default detector: 2,621 of 25 samples
+BLOCK_ROWS = BLOCK_SAMPLES // DetectorConfig().samples_per_period
+
+
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -497,12 +501,10 @@ class TestTraceExport:
         assert (out1 / "trace.bin").read_bytes() != (out2 / "trace.bin").read_bytes()
 
     @pytest.mark.parametrize("shape", PULSE_SHAPES)
-    @pytest.mark.parametrize(
-        "n_pulses", [1, *(BLOCK_SAMPLES // 25 + k for k in (0, 1)), 4095, 4096, 4097, 8193]
-    )
+    @pytest.mark.parametrize("n_pulses", [1, BLOCK_ROWS, BLOCK_ROWS + 1, 4095, 4096, 4097, 8193])
     def test_streamed_export_equals_assembled_trace(self, tmp_path, n_pulses, shape):
-        # the run writes pulse block by pulse block; 2,621 and 2,622 pulses
-        # end on and just past the first edge of blocks of 25-sample periods
+        # the run writes pulse block by pulse block; BLOCK_ROWS and one more
+        # end on and just past the first block edge
         self.check_streamed_export(tmp_path, n_pulses, {"pulse_shape": shape})
 
     def test_streamed_export_of_noiseless_detector(self, tmp_path):
