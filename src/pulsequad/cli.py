@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 import typing
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -152,8 +152,9 @@ class TomographyOptions:
         # truncated at the edges of the sampling grid
         if not 2 <= self.cutoff <= SAMPLE_GRID_MAX_CUTOFF:
             raise ConfigError(f"tomography cutoff must lie in [2, {SAMPLE_GRID_MAX_CUTOFF}]")
-        if not (self.tol > 0 and self.max_iter >= 1):
-            raise ConfigError("tol and max_iter must be positive")
+        # an infinite tol would stop the reconstruction at its first plain step
+        if not (0 < self.tol < math.inf and self.max_iter >= 1):
+            raise ConfigError("tol must be positive and finite, and max_iter positive")
         # bin indices across the sampling grid must stay exact integers, and a
         # bin wider than the grid holds every sample
         grid_span = 2.0 * SAMPLE_GRID_HALFSPAN
@@ -200,14 +201,12 @@ class PhaseSchedule:
     def realize(self, n: int, rng: np.random.Generator) -> np.ndarray:
         if self.settings > n:  # before any setting is built: a count can be huge
             raise ConfigError("more phase settings than pulses")
-        if self.kind == "constant":
-            return np.full(n, self.value)
         if self.kind == "random":
             return rng.uniform(0.0, 2.0 * math.pi, n)
         if self.kind == "sweep":
             vals = self.start + self.span * np.arange(self.count) / self.count
-        else:
-            vals = np.asarray(self.values, dtype=float)
+        else:  # a constant is a list of one
+            vals = np.asarray(self.values if self.kind == "list" else (self.value,), dtype=float)
         # contiguous blocks per phase setting, remainder spread over the first ones
         counts = np.full(vals.size, n // vals.size)
         counts[: n % vals.size] += 1
@@ -322,7 +321,10 @@ def load_config(
         doc["seed"] = seed_override
     if out_override is not None:
         doc["out_dir"] = out_override
-    return _from_json(ExperimentConfig, doc, "config")
+    try:
+        return _from_json(ExperimentConfig, doc, "config")
+    except RecursionError:  # a mixture of a mixture of ... hundreds deep
+        raise ConfigError("config nests too deeply") from None
 
 
 def _atomic(out: str, name: str, write_fn, *args) -> None:
@@ -625,14 +627,7 @@ def run_tomography(config: ExperimentConfig) -> dict:
         sampled_state, phases, n, _child_seed(config.seed, 1), cutoff=opts.cutoff
     )
     batch = replace(batch, timestamps=np.arange(n) / config.detector.f_rep)
-    result = mle_reconstruct(
-        batch,
-        opts.cutoff,
-        eta=opts.eta,
-        bin_width=opts.bin_width,
-        tol=opts.tol,
-        max_iter=opts.max_iter,
-    )
+    result = mle_reconstruct(batch, **asdict(opts))  # its fields are the parameters
     rho = result.rho
     axis = np.linspace(-WIGNER_HALFSPAN, WIGNER_HALFSPAN, WIGNER_POINTS)
     grid = wigner(rho, axis, axis)

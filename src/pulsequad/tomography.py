@@ -196,8 +196,10 @@ def mle_reconstruct(
         raise ValueError("detection efficiency must lie in (0, 1]")
     if not 0 <= max_iter < math.inf:
         raise ValueError("max_iter must be finite and nonnegative")
-    if not tol >= 0.0:  # a negative or NaN tol would accept steps that lower the likelihood
-        raise ValueError("tol must be nonnegative")
+    # a negative or NaN tol would accept steps that lower the likelihood, an infinite
+    # one would stop the loop at its first plain step
+    if not 0.0 <= tol < math.inf:
+        raise ValueError("tol must be finite and nonnegative")
     if len(batch) == 0:
         raise ValueError("batch is empty")
     if not np.max(np.abs(batch.values)) < 2**53 * bin_width:  # bin indices stay exact integers
@@ -211,18 +213,19 @@ def mle_reconstruct(
     total = counts.sum()
     freqs = counts / total
 
-    def normalized(factor):
+    def evaluate(factor):
+        """The normalized factor, its state, cell probabilities and log-likelihood."""
         # the state of a factor, rho = L L^dagger / tr, is a state for any L;
         # cells.probs reads only its upper triangle, and DensityMatrix.from_array
         # makes the returned one exactly Hermitian
         rho = factor @ factor.conj().T
         scale = np.trace(rho).real
-        return factor / math.sqrt(scale), rho / scale
+        rho = rho / scale
+        p = cells.probs(rho)
+        return factor / math.sqrt(scale), rho, p, float(counts @ np.log(p))
 
-    factor, rho = normalized(np.eye(dim, dtype=complex))
+    factor, rho, p, ll = evaluate(np.eye(dim, dtype=complex))
     factor_prev = factor
-    p = cells.probs(rho)
-    ll = float(counts @ np.log(p))
     history = [ll]
     converged = False
     best_bound = math.inf
@@ -232,17 +235,13 @@ def mle_reconstruct(
         beta = (momentum - 1) / (momentum + 2)  # <= 0 at the first two steps after a (re)start
         momentum += 1
         if beta > 0:
-            factor_y, y = normalized((1 + beta) * factor - beta * factor_prev)
-            p_y = cells.probs(y)
-            ll_y = float(counts @ np.log(p_y))
+            factor_y, _, p_y, ll_y = evaluate((1 + beta) * factor - beta * factor_prev)
         else:
             factor_y, p_y, ll_y = factor, p, ll
         r_op = cells.adjoint(freqs / p_y)
         # ll* <= ll(sigma) + N (lambda_max(R(sigma)) - 1) at any state sigma
         best_bound = min(best_bound, ll_y + total * (np.linalg.eigvalsh(r_op)[-1] - 1.0))
-        factor_new, cand = normalized(r_op @ factor_y)
-        p_new = cells.probs(cand)
-        ll_new = float(counts @ np.log(p_new))
+        factor_new, cand, p_new, ll_new = evaluate(r_op @ factor_y)
         gain = ll_new - ll
         if beta > 0 and gain <= tol * abs(ll):  # not taken: only plain steps stall the loop
             momentum = 0  # restart: two plain steps before the next extrapolation

@@ -213,6 +213,14 @@ SCHEDULE_FAULTS = {
     },
 }
 
+def nested_mixture(depth):
+    """A vacuum wrapped in ``depth`` one-component mixtures."""
+    state = {"kind": "vacuum"}
+    for _ in range(depth):
+        state = {"kind": "mixture", "weights": [1.0], "components": [state]}
+    return state
+
+
 # Each of these once crashed with a traceback, failed at run time (exit 3)
 # or was silently truncated; all are configuration faults.
 CONFIG_FAULTS = {
@@ -238,6 +246,10 @@ CONFIG_FAULTS = {
     "infinite bin_width": {"tomography": {"bin_width": math.inf}},
     "vanishing bin_width": {"tomography": {"bin_width": 1e-300}},
     "bin_width wider than the sampling grid": {"tomography": {"bin_width": 50.0}},
+    # JSON's Infinity: the reconstruction stopped after one step, "converged"
+    "infinite tol": {"tomography": {"tol": math.inf}},
+    # exited 3 with "maximum recursion depth exceeded"
+    "mixture nested 300 deep": {"state": nested_mixture(300)},
     "characterize single pulse": {"run": "characterize", "n_pulses": 1},
     "fock above cutoff": {"state": {"kind": "fock", "n": 7}, "tomography": {"cutoff": 4}},
     "fock at cutoff": {"state": {"kind": "fock", "n": 4}, "tomography": {"cutoff": 4}},
@@ -303,6 +315,8 @@ FAULT_QUANTITIES = {
     },
     "characterize eta_pd 0": "the shot-noise area variance, 0,",
     "characterize eta_pd 0 with electronic noise": "the shot-noise area variance, 0,",
+    "infinite tol": "tol must be positive and finite",
+    "mixture nested 300 deep": "config nests too deeply",
 }
 
 
@@ -1176,6 +1190,16 @@ SURFACE_RUNS = [
     },
     {"run": "trace-export", "n_pulses": 50},
 ]
+
+
+def test_package_reexports_every_layer_name():
+    # one list of public names: the layer modules' __all__, and nothing of cli's
+    exported = {
+        name for name, value in vars(pulsequad).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    layers = (importlib.import_module(f"pulsequad.{m}") for m in LAYER_MODULES if m != "cli")
+    assert exported == set().union(*(module.__all__ for module in layers))
 
 
 def readme_library_names():

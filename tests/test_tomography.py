@@ -170,7 +170,9 @@ class TestMleReconstruct:
             mle_reconstruct(batch, 4, bin_width=1e-300)
         with pytest.raises(ValueError):
             mle_reconstruct(batch, 4, eta=0.0)
-        for tol in (-1e-9, float("nan")):  # would accept steps that lower the likelihood
+        # -1e-9 and NaN would accept steps that lower the likelihood, and inf
+        # would stop the loop at its first plain step
+        for tol in (-1e-9, float("nan"), math.inf):
             with pytest.raises(ValueError, match="tol"):
                 mle_reconstruct(batch, 4, tol=tol)
         for max_iter in (-1, float("inf")):
