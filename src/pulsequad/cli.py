@@ -459,20 +459,25 @@ def _thinned_vacuum_blocks(det: DetectorConfig, seed: int) -> QuadratureBatch:
     """Block means of a long vacuum record, drawn from the exact Gaussian
     law of block averages instead of synthesizing every pulse.
 
-    A block is ``ALLAN_BLOCK_S`` rounded to whole pulses.  A random-walk
-    drift component is approximated by its value at block centres; the
-    linear ramp and shot-noise statistics are exact.
+    A block is ``ALLAN_BLOCK_S`` rounded to whole pulses, ``n`` of them.  The
+    random walk's share of block ``k`` is its value before the block plus an
+    offset ``M``, and the walk moves by ``S`` over the block.  ``S`` and ``M``
+    are drawn jointly from their exact law: with ``sigma`` the per-pulse step,
+    ``Var S = n sigma^2``, ``Var M = sigma^2 (n+1)(2n+1) / (6n)`` and
+    ``Cov(S, M) = sigma^2 (n+1) / 2``.  The linear ramp and shot-noise
+    statistics are exact too.
     """
-    n_per_block = _allan_block_pulses(det)
+    n = _allan_block_pulses(det)
     n_blocks = int(round(ALLAN_DURATION_S / ALLAN_BLOCK_S))
     rng = _seeded_rng(seed, 0)
-    centers = (np.arange(n_blocks) * n_per_block + (n_per_block - 1) / 2.0) / det.f_rep
-    means = det.drift.linear_rate * centers + rng.normal(
-        0.0, math.sqrt(0.5 / n_per_block), n_blocks
-    )
-    if det.drift.random_walk_sigma > 0:
-        step = det.drift.random_walk_sigma * math.sqrt(n_per_block)
-        means = means + np.cumsum(rng.normal(0.0, step, n_blocks))
+    centers = (np.arange(n_blocks) * n + (n - 1) / 2.0) / det.f_rep
+    means = det.drift.linear_rate * centers + rng.normal(0.0, math.sqrt(0.5 / n), n_blocks)
+    sigma = det.drift.random_walk_sigma
+    if sigma > 0:
+        z1, z2 = sigma * rng.standard_normal((2, n_blocks))
+        moves = math.sqrt(n) * z1
+        offsets = (n + 1) / (2 * math.sqrt(n)) * z1 + math.sqrt((n * n - 1) / (12 * n)) * z2
+        means = means + (np.cumsum(moves) - moves + offsets)
     return QuadratureBatch(values=means)
 
 

@@ -52,6 +52,11 @@ TRACE_TOL = 1e-10
 EIGENVALUE_TOL = -1e-8
 
 DEFAULT_CUTOFF = 10  # Fock cutoff a state is sampled at unless one is given
+# the most norm a cutoff may discard from a coherent state, which keeps the
+# renormalized state at fidelity 0.999 or more with the one named; golden
+# trace-gaussian (alpha 1.5 at cutoff 10) discards 1.21e-4.  1e-3 refuses alpha
+# above 1.05, 1.72 and 2.99 at cutoffs 6, 10 and 20
+TRUNCATION_TOL = 1e-3
 
 SAMPLE_GRID_HALFSPAN = 8.0
 # largest Fock cutoff the grid holds: level 19 loses 6.6e-8 of its mass
@@ -208,13 +213,12 @@ def fock_wavefunctions(cutoff: int, x) -> np.ndarray:
     return psi
 
 
-def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
-    """Number-basis amplitudes of ``|alpha>`` renormalized at the cutoff."""
+def _coherent(alpha: complex, cutoff: int):
+    """Amplitudes of ``|alpha>`` renormalized at the cutoff, and the norm the
+    cutoff discards, ``sum_{n >= cutoff} |<n|alpha>|^2``, computed in logs."""
     a = complex(alpha)
     if a == 0:
-        vec = np.zeros(cutoff, dtype=complex)
-        vec[0] = 1.0
-        return vec
+        return np.eye(1, cutoff, dtype=complex)[0], 0.0
     n = np.arange(cutoff)
     logfact = np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, cutoff)))))
     # abs(a) overflows when both components are near the float limit; dividing
@@ -222,9 +226,16 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
     scale = max(abs(a.real), abs(a.imag), 1.0)
     log_amp = n * (math.log(abs(a / scale)) + math.log(scale)) - 0.5 * logfact
     # shifting the largest log-amplitude to 0 keeps exp finite for every finite alpha
-    vec = np.exp(log_amp - log_amp.max()) * np.exp(1j * n * np.angle(a))
-    vec /= np.linalg.norm(vec)
-    return vec
+    top = log_amp.max()
+    vec = np.exp(log_amp - top) * np.exp(1j * n * np.angle(a))
+    norm = np.linalg.norm(vec)
+    radius = abs(a / scale) * scale  # inf past the float range, with no error
+    return vec / norm, -math.expm1(2.0 * (top + math.log(norm)) - radius * radius)
+
+
+def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
+    """Number-basis amplitudes of ``|alpha>`` renormalized at the cutoff."""
+    return _coherent(alpha, cutoff)[0]
 
 
 def _loss_amplitudes(dim: int, eta: float) -> np.ndarray:
@@ -282,7 +293,14 @@ def pure_state_vector(state: StateModel, cutoff: int) -> np.ndarray | None:
         vec = np.zeros(cutoff, dtype=complex)
         vec[state.n] = 1.0
         return vec
-    return coherent_amplitudes(state.alpha if state.kind == "coherent" else 0.0, cutoff)
+    alpha = state.alpha if state.kind == "coherent" else 0.0
+    vec, discarded = _coherent(alpha, cutoff)
+    if discarded > TRUNCATION_TOL:
+        raise ValueError(
+            f"coherent({alpha:g}) loses {discarded:.3g} of its norm at cutoff {cutoff},"
+            f" more than {TRUNCATION_TOL:g}"
+        )
+    return vec
 
 
 def _bare_density_matrix(state: StateModel, cutoff: int) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Non-finite inputs at the library's public functions.
+"""Non-finite and out-of-range inputs at the library's public functions.
 
-Each raises ValueError naming the argument it refuses, before any arithmetic
-on it can warn, print (LAPACK reports an illegal value on stderr) or raise
-another kind of error.
+Each raises ValueError naming the argument it refuses, or saying what is
+wrong with it, before any arithmetic on it can warn, print (LAPACK reports an
+illegal value on stderr) or raise another kind of error.
 """
 
 import math
@@ -15,24 +15,37 @@ from pulsequad.characterization import (
     AllanCurve,
     SpectrumEstimate,
     allan_deviation,
+    averaged_allan,
+    bandwidth_minus3db,
     cmrr_db,
+    correlation_coefficient,
     noise_spectrum,
     time_bandwidth_product,
     variance_vs_power,
 )
 from pulsequad.detector import TraceBuffer, photons_per_pulse
-from pulsequad.extraction import QuadratureBatch, segment_pulses
-from pulsequad.states import StateModel, fidelity_pure, sample_quadratures, state_density_matrix
+from pulsequad.extraction import CalibrationScale, QuadratureBatch, segment_pulses
+from pulsequad.states import (
+    DensityMatrix,
+    StateModel,
+    fidelity_pure,
+    fock_wavefunctions,
+    loss_channel,
+    sample_quadratures,
+    state_density_matrix,
+)
 from pulsequad.tomography import mle_reconstruct
 
 NAN, INF = math.nan, math.inf
 
 
+def flat_spectrum(level, bins=257):
+    freqs = np.linspace(0.0, 1e9, bins)
+    return SpectrumEstimate(freqs=freqs, psd=np.full(bins, level), resolution_hz=freqs[1])
+
+
 def zero_balanced_line():
-    freqs = np.linspace(0.0, 1e9, 257)
-    balanced = SpectrumEstimate(freqs=freqs, psd=np.zeros(freqs.size), resolution_hz=freqs[1])
-    blocked = SpectrumEstimate(freqs=freqs, psd=np.ones(freqs.size), resolution_hz=freqs[1])
-    return cmrr_db(balanced, blocked, 80e6)
+    return cmrr_db(flat_spectrum(0.0), flat_spectrum(1.0), 80e6)
 
 
 # case: (the call, the argument its message must name)
@@ -85,14 +98,77 @@ CASES = {
         ),
         "max_iter",
     ),
+    "TraceBuffer NaN sample": (lambda: TraceBuffer(1.0, 0.0, [0.0, NAN]), "samples"),
+    "QuadratureBatch NaN phase": (
+        lambda: QuadratureBatch(values=[0.0, 1.0], phases=[0.0, NAN]),
+        "phases",
+    ),
+    "DensityMatrix NaN entry": (lambda: DensityMatrix([[NAN]]), "density matrix"),
 }
+
+# case: (the call, what its message must say)
+RANGE_CASES = {
+    "AllanCurve point with no pair": (
+        lambda: AllanCurve(taus=[1.0, 2.0], deviations=[1.0, 0.5], n_pairs=[3, 0]),
+        "at least one adjacent pair",
+    ),
+    "allan_deviation tau below one sample": (
+        lambda: allan_deviation(QuadratureBatch(values=np.arange(100.0)), 10.0, [0.05]),
+        "shorter than one sample",
+    ),
+    "averaged_allan of no curves": (lambda: averaged_allan([]), "at least one curve"),
+    "correlation_coefficient constant batch": (
+        lambda: correlation_coefficient(QuadratureBatch(values=np.ones(10)), 1),
+        "zero variance",
+    ),
+    "bandwidth_minus3db spectra on two grids": (
+        lambda: bandwidth_minus3db(flat_spectrum(1.0), flat_spectrum(0.0, bins=129)),
+        "common frequency grid",
+    ),
+    "CalibrationScale zero scale": (
+        lambda: CalibrationScale(scale=0.0, offset=0.0, n_cal=10),
+        "scale must be positive",
+    ),
+    "CalibrationScale one pulse": (
+        lambda: CalibrationScale(scale=1.0, offset=0.0, n_cal=1),
+        "at least two pulses",
+    ),
+    "segment_pulses one-sample window": (
+        lambda: segment_pulses(TraceBuffer(10.0, 0.0, np.zeros(100)), 0.5, 0.0, 0.1),
+        "at least two samples",
+    ),
+    "DensityMatrix not square": (
+        lambda: DensityMatrix(np.ones((2, 3)) / 2),
+        "square matrix",
+    ),
+    "DensityMatrix.from_array zero trace": (
+        lambda: DensityMatrix.from_array(np.zeros((2, 2))),
+        "trace must be positive",
+    ),
+    "fock_wavefunctions cutoff 0": (
+        lambda: fock_wavefunctions(0, [0.0]),
+        "cutoff must be at least 1",
+    ),
+    "loss_channel eta above 1": (
+        lambda: loss_channel(state_density_matrix(StateModel.vacuum(), 2), 1.5),
+        r"eta must lie in \[0, 1\]",
+    ),
+}
+
+
+def check_refusal(capfd, call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert capfd.readouterr() == ("", "")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_non_finite_input_raises_value_error(capfd, case):
-    call, argument = CASES[case]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=argument):
-            call()
-    assert capfd.readouterr() == ("", "")
+    check_refusal(capfd, *CASES[case])
+
+
+@pytest.mark.parametrize("case", sorted(RANGE_CASES))
+def test_out_of_range_input_raises_value_error(capfd, case):
+    check_refusal(capfd, *RANGE_CASES[case])

@@ -27,6 +27,7 @@ from pulsequad.characterization import (
 from pulsequad.cli import (
     ALLAN_RECORDS,
     SPECTRUM_PULSES,
+    _allan_block_pulses,
     _allan_record,
     _allan_tau_grid,
     _child_seed,
@@ -278,6 +279,17 @@ def test_allan_of_pure_drift_at_its_block_length(f_rep):
     assert curve.deviations[k] == pytest.approx(curve.taus[k] / math.sqrt(2), rel=0.01)
 
 
+def test_random_walk_allan_at_one_block_follows_the_exact_law():
+    # at tau = one block of n pulses a walk of per-pulse step sigma has Allan
+    # variance sigma^2 (2n^2 + 1) / (6n); a block's end value gives 1.5 times that
+    sigma = 1e-3
+    det = DetectorConfig(drift=DriftModel(linear_rate=0.0, random_walk_sigma=sigma))
+    n = _allan_block_pulses(det)
+    avar = np.mean([_allan_record(det, 0, r).deviations[0] ** 2 for r in range(20)])
+    white = 0.5 / n  # shot noise: each block mean has variance 0.5 / n
+    assert avar - white == pytest.approx(sigma**2 * (2 * n * n + 1) / (6 * n), rel=0.05)
+
+
 class TestStabilityInterval:
     def test_minimum_location(self):
         curve = AllanCurve(
@@ -338,6 +350,11 @@ class TestAveragedAllan:
         assert np.array_equal(avg.deviations, [1.0, 2.0])
         assert np.array_equal(avg.deviation_std, [0.0, 0.0])
         assert np.array_equal(avg.n_pairs, [100, 40])
+
+    def test_one_curve_has_zero_error(self):
+        avg = averaged_allan([self.make([1.0, 2.0])])
+        assert np.array_equal(avg.deviations, [1.0, 2.0])
+        assert np.array_equal(avg.deviation_std, [0.0, 0.0])
 
     def test_two_point_arithmetic(self):
         avg = averaged_allan([self.make([1.0, 1.0]), self.make([3.0, 1.0])])
@@ -454,8 +471,8 @@ class TestChunkedSpectrum:
     def test_any_chunking_matches_whole_trace(self):
         rng = np.random.default_rng(8)
         samples = 3.0 + rng.normal(size=40 * 256 + 100)
-        cuts = np.sort(rng.integers(0, samples.size, 30))
-        chunks = np.split(samples, cuts)  # empty and sub-segment chunks too
+        cuts = np.sort(np.r_[0, 0, rng.integers(0, samples.size, 30)])
+        chunks = np.split(samples, cuts)  # empty (the first two) and sub-segment chunks too
         whole = noise_spectrum([samples], 256, 1e6)
         streamed = noise_spectrum(chunks, 256, sample_rate=1e6)
         assert np.max(np.abs(streamed.psd / whole.psd - 1)) <= 1e-12

@@ -113,6 +113,14 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             load_config(path)
 
+    def test_config_must_be_an_object(self, tmp_path):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            load_config(write_config(tmp_path, [{"run": "tomography"}]))
+
+    def test_unknown_run_kind(self, tmp_path):
+        with pytest.raises(ConfigError, match="run must be one of"):
+            load_config(write_config(tmp_path, {"run": "calibrate"}))
+
     def test_run_mismatch(self, tmp_path):
         path = write_config(tmp_path, {"run": "tomography"})
         with pytest.raises(ConfigError, match="does not match"):
@@ -265,6 +273,29 @@ CONFIG_FAULTS = {
         "tomography": {"cutoff": 5},
     },
     "trace-export fock above cutoff": {"run": "trace-export", "state": {"kind": "fock", "n": 10}},
+    # the cutoff discarded 0.102 of the norm; the run reported W(0,0) -0.0018 and exited 0
+    "coherent alpha 2.5 at cutoff 10": {
+        "state": {"kind": "coherent", "alpha": 2.5},
+        "tomography": {"cutoff": 10},
+    },
+    "trace-export coherent alpha 2.5": {
+        "run": "trace-export",
+        "state": {"kind": "coherent", "alpha": 2.5},
+    },
+    "tomography eta 0": {"tomography": {"eta": 0.0}},
+    "tomography n_pulses 0": {"n_pulses": 0},
+    "phase values not a list": {"phases": {"kind": "list", "values": 0.5}},
+    "unknown phase kind": {"phases": {"kind": "spiral"}},
+    "empty phase list": {"phases": {"kind": "list", "values": []}},
+    "sweep count 0": {"phases": {"kind": "sweep", "count": 0}},
+    "NaN phase": {"phases": {"kind": "list", "values": [0.5, math.nan]}},
+    "negative electronic noise": {"detector": {"elec_noise_area_var": -1e-22}},
+    "unknown state kind": {"state": {"kind": "squeezed"}},
+    "state efficiency above 1": {"state": {"efficiency": 1.5}},
+    "NaN alpha": {"state": {"kind": "coherent", "alpha": math.nan}},
+    "mixture with more weights than components": {
+        "state": {"kind": "mixture", "weights": [0.5, 0.5], "components": [{"kind": "vacuum"}]},
+    },
     # f_rep * ALLAN_BLOCK_S rounds to no pulse per Allan block, 0.5 included
     **{
         f"characterize f_rep {f_rep:g}": {
@@ -317,6 +348,24 @@ FAULT_QUANTITIES = {
     "characterize eta_pd 0 with electronic noise": "the shot-noise area variance, 0,",
     "infinite tol": "tol must be positive and finite",
     "mixture nested 300 deep": "config nests too deeply",
+    "coherent alpha 2.5 at cutoff 10": (
+        "tomography state: coherent(2.5+0j) loses 0.102 of its norm at cutoff 10"
+    ),
+    "trace-export coherent alpha 2.5": (
+        "trace-export state: coherent(2.5+0j) loses 0.102 of its norm at cutoff 10"
+    ),
+    "tomography eta 0": "tomography eta must lie in (0, 1]",
+    "tomography n_pulses 0": "n_pulses must be at least 1 for run 'tomography'",
+    "phase values not a list": "config.phases.values must be a list",
+    "unknown phase kind": "unknown phase schedule kind 'spiral'",
+    "empty phase list": "phase list must not be empty",
+    "sweep count 0": "sweep count must be at least 1",
+    "NaN phase": "phases must be finite",
+    "negative electronic noise": "elec_noise_area_var must be nonnegative",
+    "unknown state kind": "unknown state kind 'squeezed'",
+    "state efficiency above 1": "efficiency must lie in [0, 1]",
+    "NaN alpha": "alpha must be finite",
+    "mixture with more weights than components": "mixture needs matching weights and components",
 }
 
 
@@ -380,6 +429,12 @@ def test_n_pulses_bound_is_exact():
     assert ExperimentConfig(run="tomography", n_pulses=MAX_N_PULSES).n_pulses == MAX_N_PULSES
     with pytest.raises(ConfigError, match="n_pulses must be at most"):
         ExperimentConfig(run="tomography", n_pulses=MAX_N_PULSES + 1)
+
+
+def test_realize_refuses_more_settings_than_pulses():
+    schedule = PhaseSchedule(kind="list", values=(0.0, 1.0, 2.0))
+    with pytest.raises(ConfigError, match="more phase settings than pulses"):
+        schedule.realize(2, _seeded_rng(0, 0))
 
 
 def test_schedule_with_as_many_settings_as_pulses_loads(tmp_path):
@@ -651,19 +706,24 @@ class TestTomographyRun:
             assert err == "pulsequad: config error: tomography cutoff must lie in [2, 20]\n"
 
     def test_huge_coherent_alpha_runs_cleanly(self, tmp_path, capsys, recwarn):
+        # the cutoff discards all of its norm, found in logs with no overflow
         path = write_config(
             tmp_path,
             {
                 "run": "tomography",
                 "out_dir": str(tmp_path / "out"),
                 "n_pulses": 200,
-                "state": {"kind": "coherent", "alpha": 1e200},
+                "state": {"kind": "coherent", "alpha": 1e308},
                 "tomography": {"cutoff": 4},
             },
         )
-        assert main(["tomography", "--config", path]) == 0
-        assert capsys.readouterr().err == ""
+        assert main(["tomography", "--config", path]) == 2
+        assert capsys.readouterr().err == (
+            "pulsequad: config error: tomography state: coherent(1e+308+0j) loses 1"
+            " of its norm at cutoff 4, more than 0.001\n"
+        )
         assert [str(w.message) for w in recwarn] == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestCharacterizeRun:
@@ -1050,7 +1110,7 @@ def test_cli_runs_without_scipy(tmp_path):
     docs = {
         "tomography": {
             "n_pulses": 50,
-            "state": {"kind": "coherent", "alpha": 0.8},
+            "state": {"kind": "coherent", "alpha": 0.5},
             "phases": {"kind": "random"},
             "tomography": {"cutoff": 4},
         },

@@ -162,21 +162,28 @@ class TestPulseAreasLayouts:
         padded[:, 1 : n_w + 1] = rows
         assert np.array_equal(whole, _trapezoid_rows(padded[:, 1 : n_w + 1], 2e9))
 
+    BAD_WINDOWS = [  # (windows, what the refusal says)
+        ([[-2, 3]], "inside the trace"),  # starts before the trace
+        ([[8, 12]], "inside the trace"),  # runs past its end
+        ([[0, 4], [4, 8], [8, 12]], "inside the trace"),  # evenly spaced, the last one overruns
+        ([[3, 4]], "at least two samples"),  # one sample
+        ([[3, 3]], "at least two samples"),  # empty
+        ([[5, 3]], "at least two samples"),  # reversed
+        ([[0, 4], [4, 9]], "common length"),
+    ]
+
     @pytest.mark.parametrize(
-        "windows",
-        [
-            [[-2, 3]],  # starts before the trace
-            [[8, 12]],  # runs past its end
-            [[0, 4], [4, 8], [8, 12]],  # evenly spaced, the last one overruns
-            [[3, 4]],  # one sample
-            [[3, 3]],  # empty
-            [[5, 3]],  # reversed
-        ],
+        "windows, message", BAD_WINDOWS, ids=[f"windows{i}" for i in range(len(BAD_WINDOWS))]
     )
-    def test_bad_windows_rejected(self, windows):
+    def test_bad_windows_rejected(self, windows, message):
         trace = TraceBuffer(sample_rate=1.0, t0=0.0, samples=np.arange(10.0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=message):
             pulse_areas(trace, np.array(windows))
+
+    def test_no_windows_give_no_areas(self):
+        trace = TraceBuffer(sample_rate=1.0, t0=0.0, samples=np.arange(10.0))
+        areas = pulse_areas(trace, np.zeros((0, 2), dtype=int))
+        assert areas.shape == (0,) and areas.dtype == float
 
 
 class TestCalibration:

@@ -488,6 +488,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             state_density_matrix(StateModel.fock(5), 4)
 
+    def test_coherent_state_truncated_by_the_cutoff_rejected(self):
+        # alpha 2.5 loses 0.102 of its norm at cutoff 10; 1e308 loses all of it,
+        # found in logs with no overflow
+        mixture = StateModel.mixture([0.5, 0.5], [StateModel.vacuum(), StateModel.coherent(2.5)])
+        refused = [
+            (StateModel.coherent(2.5), 10),
+            (mixture, 10),
+            (StateModel.coherent(1e308), 10),
+            (StateModel.coherent(1.73), 10),
+            (StateModel.coherent(1.06), 6),
+            (StateModel.coherent(3.0), 20),
+        ]
+        for state, cutoff in refused:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"loses .* of its norm at cutoff"):
+                    state_density_matrix(state, cutoff)
+        # golden trace-gaussian's alpha 1.5 loses 1.21e-4 at cutoff 10
+        for alpha, cutoff in [(1.5, 10), (1.72, 10), (1.05, 6), (2.99, 20)]:
+            assert state_density_matrix(StateModel.coherent(alpha), cutoff).dim == cutoff
+        assert states._coherent(1.5, 10)[1] == pytest.approx(1.2080457756669e-4, rel=1e-9)
+
     def test_integral_float_fock_number_samples_as_int(self):
         state = StateModel(kind="fock", n=2.0)
         assert type(state.n) is int and state == StateModel.fock(2)
@@ -615,13 +637,13 @@ class TestSampleQuadratures:
 
     # at the largest size each call is one block; below it the blocks are
     # whole groups of BLAS matrix-vector rows.  Blocks of 215 rows, 2**12
-    # entries over 19 columns unrounded, move 4 of these values by 2e-16
+    # entries over 19 columns unrounded, move one of these values by 2.2e-16
     @pytest.mark.parametrize(
         "state, phases",
         [
             (StateModel.vacuum(), [0.0]),
             (
-                StateModel.coherent(1.5 + 1.0j),
+                StateModel.coherent(1.2 + 1.0j),
                 np.random.default_rng(9).uniform(0.0, 2.0 * np.pi, 3001),
             ),
             (StateModel.fock(2, efficiency=0.7), np.linspace(0.0, 3.0, 3001)),

@@ -178,6 +178,8 @@ class TestMleReconstruct:
         for max_iter in (-1, float("inf")):
             with pytest.raises(ValueError, match="max_iter"):
                 mle_reconstruct(batch, 4, max_iter=max_iter)
+        with pytest.raises(ValueError, match="batch is empty"):
+            mle_reconstruct(QuadratureBatch(values=[], phases=[]), 4)
 
     def test_non_convergence_flagged(self):
         phases = np.repeat(np.arange(5) * np.pi / 5, 2000)
