@@ -83,9 +83,8 @@ class SpectrumEstimate:
 class DetectorReport:
     """Aggregated detector figures of merit.
 
-    ``cc`` holds ``(m, value, std)`` triples; ``tbp`` must equal
-    ``bandwidth_hz * stability_interval_s``, and both are None when the
-    spectrum shows no -3 dB crossing.
+    ``cc`` holds ``(m, value, std)`` triples; ``bandwidth_hz`` is None when
+    the spectrum shows no -3 dB crossing, and so is the derived ``tbp``.
     """
 
     snr_db: float | None
@@ -96,22 +95,24 @@ class DetectorReport:
     cc: tuple
     cmrr_db: float
     stability_interval_s: float
-    tbp: float | None
 
     def __post_init__(self):
         for name in ("eta_en", "eta_pd", "eta_bhd"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
+
+    @property
+    def tbp(self) -> float | None:
+        """``bandwidth_hz * stability_interval_s``, or None without a bandwidth."""
         if self.bandwidth_hz is None:
-            if self.tbp is not None:
-                raise ValueError("tbp must be None when bandwidth_hz is")
-        elif not np.isclose(self.tbp, self.bandwidth_hz * self.stability_interval_s, rtol=1e-12):
-            raise ValueError("tbp must equal bandwidth_hz * stability_interval_s")
+            return None
+        return time_bandwidth_product(self.bandwidth_hz, self.stability_interval_s)
 
     def to_json_dict(self) -> dict:
         return {
             **asdict(self),
             "cc": [{"m": int(m), "cc": v, "std": s} for m, v, s in self.cc],
+            "tbp": self.tbp,
         }
 
 

@@ -38,7 +38,6 @@ from .characterization import (
     noise_spectrum,
     overall_efficiency,
     snr_and_efficiency,
-    time_bandwidth_product,
     variance_vs_power,
     write_allan_csv,
     write_cc_csv,
@@ -74,6 +73,7 @@ from .states import (
     SAMPLE_GRID_HALFSPAN,
     SAMPLE_GRID_MAX_CUTOFF,
     StateModel,
+    _check_kind_fields,
     fidelity_pure,
     photon_statistics,
     pure_state_vector,
@@ -167,7 +167,19 @@ class TomographyOptions:
 @dataclass(frozen=True)
 class PhaseSchedule:
     """LO phase per pulse: a constant, an explicit list, a stepped sweep
-    covering ``[start, start + span)``, or uniform random phases."""
+    covering ``[start, start + span)``, or uniform random phases.
+
+    ``KIND_FIELDS`` names the fields each kind reads; a field that only
+    another kind reads must keep its default, or the constructor raises
+    ``ConfigError``.
+    """
+
+    KIND_FIELDS = {
+        "constant": ("value",),
+        "list": ("values",),
+        "sweep": ("count", "start", "span"),
+        "random": (),
+    }
 
     kind: str = "constant"
     value: float = 0.0
@@ -177,8 +189,8 @@ class PhaseSchedule:
     span: float = math.pi
 
     def __post_init__(self):
-        if self.kind not in ("constant", "list", "sweep", "random"):
-            raise ConfigError(f"unknown phase schedule kind {self.kind!r}")
+        object.__setattr__(self, "values", tuple(self.values))  # so [] is the default ()
+        _check_kind_fields(self, "phase schedule", ConfigError)
         if self.kind == "list" and not self.values:
             raise ConfigError("phase list must not be empty")
         if self.kind == "sweep" and self.count < 1:
@@ -205,8 +217,8 @@ class PhaseSchedule:
             return rng.uniform(0.0, 2.0 * math.pi, n)
         if self.kind == "sweep":
             vals = self.start + self.span * np.arange(self.count) / self.count
-        else:  # a constant is a list of one
-            vals = np.asarray(self.values if self.kind == "list" else (self.value,), dtype=float)
+        else:  # a constant is a list of one: its values stay empty
+            vals = np.asarray(self.values or (self.value,), dtype=float)
         # contiguous blocks per phase setting, remainder spread over the first ones
         counts = np.full(vals.size, n // vals.size)
         counts[: n % vals.size] += 1
@@ -591,8 +603,6 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
     if _pulse_rolls_off(det, SEGMENT_LEN_BAND):
         bandwidth = bandwidth_minus3db(shot_band, elec_band)
     rejection = cmrr_db(balanced_line, blocked_line, det.f_rep)
-    stability = find_stability_interval(mean_curve)
-    tbp = None if bandwidth is None else time_bandwidth_product(bandwidth, stability)
 
     report = DetectorReport(
         snr_db=snr_db,
@@ -602,8 +612,7 @@ def run_characterize(config: ExperimentConfig) -> DetectorReport:
         bandwidth_hz=bandwidth,
         cc=cc_rows,
         cmrr_db=rejection,
-        stability_interval_s=stability,
-        tbp=tbp,
+        stability_interval_s=find_stability_interval(mean_curve),
     )
     _atomic(out, "report.json", _write_json, report.to_json_dict())
     _atomic(out, "noise_curve.csv", write_noise_curve_csv, curve)

@@ -23,7 +23,7 @@ for the next call with the same state and cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -74,6 +74,19 @@ _PHASE_FREE_TABLES: dict = {}
 _PHASE_FREE_LIMIT = 8
 
 
+def _check_kind_fields(obj, what: str, error, common=()) -> None:
+    """Raise ``error`` unless ``obj.kind`` is a key of ``obj.KIND_FIELDS`` and
+    each field of ``obj`` that its kind does not read keeps its default."""
+    if obj.kind not in obj.KIND_FIELDS:
+        raise error(f"unknown {what} kind {obj.kind!r}")
+    reads = ("kind", *common, *obj.KIND_FIELDS[obj.kind])
+    foreign = [
+        f.name for f in fields(obj) if f.name not in reads and getattr(obj, f.name) != f.default
+    ]
+    if foreign:
+        raise error(f"a {obj.kind} {what} takes no {', '.join(foreign)}")
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Density matrix in the number basis, truncated at ``dim`` photons.
@@ -119,10 +132,19 @@ class DensityMatrix:
 class StateModel:
     """Parametric description of a signal state plus a loss channel.
 
-    ``kind`` is one of ``vacuum``, ``coherent``, ``fock`` or ``mixture``;
-    ``efficiency`` is applied as a photon-loss channel when the state is
-    realized as a density matrix.
+    ``kind`` is one of ``vacuum``, ``coherent``, ``fock`` or ``mixture``, and
+    ``KIND_FIELDS`` names the fields each kind reads; a field that only
+    another kind reads must keep its default, or the constructor raises
+    ``ValueError``.  Every kind reads ``efficiency``, applied as a
+    photon-loss channel when the state is realized as a density matrix.
     """
+
+    KIND_FIELDS = {
+        "vacuum": (),
+        "coherent": ("alpha",),
+        "fock": ("n",),
+        "mixture": ("weights", "components"),
+    }
 
     kind: str = "vacuum"
     alpha: complex = 0j
@@ -132,8 +154,10 @@ class StateModel:
     efficiency: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("vacuum", "coherent", "fock", "mixture"):
-            raise ValueError(f"unknown state kind {self.kind!r}")
+        # tuples keep a state hashable: the sampler keys its tables on it
+        object.__setattr__(self, "weights", tuple(self.weights))
+        object.__setattr__(self, "components", tuple(self.components))
+        _check_kind_fields(self, "state", ValueError, common=("efficiency",))
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if not np.isfinite(self.alpha):
@@ -148,9 +172,6 @@ class StateModel:
                 raise ValueError("mixture needs matching weights and components")
             if np.any(w < 0) or not abs(w.sum() - 1.0) <= 1e-9:
                 raise ValueError("mixture weights must be nonnegative and sum to one")
-        # tuples keep a state hashable: the sampler keys its tables on it
-        object.__setattr__(self, "weights", tuple(self.weights))
-        object.__setattr__(self, "components", tuple(self.components))
 
     @classmethod
     def vacuum(cls) -> "StateModel":
@@ -293,11 +314,10 @@ def pure_state_vector(state: StateModel, cutoff: int) -> np.ndarray | None:
         vec = np.zeros(cutoff, dtype=complex)
         vec[state.n] = 1.0
         return vec
-    alpha = state.alpha if state.kind == "coherent" else 0.0
-    vec, discarded = _coherent(alpha, cutoff)
+    vec, discarded = _coherent(state.alpha, cutoff)  # a vacuum's alpha is 0
     if discarded > TRUNCATION_TOL:
         raise ValueError(
-            f"coherent({alpha:g}) loses {discarded:.3g} of its norm at cutoff {cutoff},"
+            f"coherent({state.alpha:g}) loses {discarded:.3g} of its norm at cutoff {cutoff},"
             f" more than {TRUNCATION_TOL:g}"
         )
     return vec

@@ -604,17 +604,21 @@ class TestReport:
             cc=((0, 1.0, 0.0), (1, -0.019, 0.02)),
             cmrr_db=63.0,
             stability_interval_s=2.0,
-            tbp=1.6e8,
         )
         kwargs.update(overrides)
         return DetectorReport(**kwargs)
 
-    def test_tbp_consistency_enforced(self):
-        with pytest.raises(ValueError):
+    def test_tbp_derived(self):
+        # tbp is no field: a report cannot be built with one that disagrees
+        with pytest.raises(TypeError):
             self.make_report(tbp=1.0)
-        with pytest.raises(ValueError):
-            self.make_report(bandwidth_hz=None)
-        assert self.make_report(bandwidth_hz=None, tbp=None).to_json_dict()["tbp"] is None
+        report = self.make_report()
+        assert report.tbp == 80e6 * 2.0 == report.to_json_dict()["tbp"]
+        assert self.make_report(bandwidth_hz=3.0, stability_interval_s=0.7).tbp == 3.0 * 0.7
+        assert self.make_report(bandwidth_hz=None).tbp is None
+        assert self.make_report(bandwidth_hz=None).to_json_dict()["tbp"] is None
+        with pytest.raises(ValueError):  # time_bandwidth_product's own check
+            self.make_report(stability_interval_s=math.inf).tbp
 
     def test_eta_range_enforced(self):
         with pytest.raises(ValueError):

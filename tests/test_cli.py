@@ -191,12 +191,12 @@ class TestConfigParsing:
                 "state": {
                     "kind": "mixture",
                     "weights": [0.5, 0.5],
-                    "components": [{"kind": "fock", "n": 1}, {"alpha": 2}],
+                    "components": [{"kind": "fock", "n": 1}, {"kind": "coherent", "alpha": 1.0}],
                 },
             },
         )
         state = load_config(path).state
-        assert state.components == (StateModel.fock(1), StateModel(alpha=2 + 0j))
+        assert state.components == (StateModel.fock(1), StateModel.coherent(1.0))
         bad = write_config(
             tmp_path,
             {"run": "tomography", "state": {"components": [{"kind": "fock", "m": 1}]}},
@@ -296,6 +296,21 @@ CONFIG_FAULTS = {
     "mixture with more weights than components": {
         "state": {"kind": "mixture", "weights": [0.5, 0.5], "components": [{"kind": "vacuum"}]},
     },
+    # a field another kind reads: the vacuum alpha 2.0 reconstructed the vacuum and exited 0
+    "vacuum alpha": {"state": {"kind": "vacuum", "alpha": 2.0}},
+    "fock alpha": {"state": {"kind": "fock", "n": 1, "alpha": 0.5}},
+    "coherent n": {"state": {"kind": "coherent", "alpha": 0.5, "n": 1}},
+    "vacuum weights": {"state": {"kind": "vacuum", "weights": [1.0]}},
+    "mixture component with a foreign field": {
+        "state": {
+            "kind": "mixture",
+            "weights": [0.5, 0.5],
+            "components": [{"kind": "vacuum"}, {"kind": "fock", "n": 1, "alpha": 0.5}],
+        },
+    },
+    "random phase values": {"phases": {"kind": "random", "values": [0.5]}},
+    "phase list count": {"phases": {"kind": "list", "values": [0.5], "count": 3}},
+    "sweep phase value": {"phases": {"kind": "sweep", "value": 1.0}},
     # f_rep * ALLAN_BLOCK_S rounds to no pulse per Allan block, 0.5 included
     **{
         f"characterize f_rep {f_rep:g}": {
@@ -366,6 +381,16 @@ FAULT_QUANTITIES = {
     "state efficiency above 1": "efficiency must lie in [0, 1]",
     "NaN alpha": "alpha must be finite",
     "mixture with more weights than components": "mixture needs matching weights and components",
+    "vacuum alpha": "invalid config.state: a vacuum state takes no alpha",
+    "fock alpha": "invalid config.state: a fock state takes no alpha",
+    "coherent n": "invalid config.state: a coherent state takes no n",
+    "vacuum weights": "invalid config.state: a vacuum state takes no weights",
+    "mixture component with a foreign field": (
+        "invalid config.state.components[1]: a fock state takes no alpha"
+    ),
+    "random phase values": "a random phase schedule takes no values",
+    "phase list count": "a list phase schedule takes no count",
+    "sweep phase value": "a sweep phase schedule takes no value",
 }
 
 
@@ -435,6 +460,30 @@ def test_realize_refuses_more_settings_than_pulses():
     schedule = PhaseSchedule(kind="list", values=(0.0, 1.0, 2.0))
     with pytest.raises(ConfigError, match="more phase settings than pulses"):
         schedule.realize(2, _seeded_rng(0, 0))
+
+
+def test_a_schedule_takes_only_the_fields_its_kind_reads():
+    # written out here, not read from PhaseSchedule.KIND_FIELDS: 9 of the 24
+    # (kind, field) pairs are settable
+    reads = {
+        "constant": {"kind", "value"},
+        "list": {"kind", "values"},
+        "sweep": {"kind", "count", "start", "span"},
+        "random": {"kind"},
+    }
+    values = {"value": 0.5, "values": (0.5, 1.0), "count": 3, "start": 0.5, "span": 1.0}
+    for kind, names in reads.items():
+        for name in (f.name for f in fields(PhaseSchedule)):
+            args = {"values": values["values"]} if kind == "list" else {}
+            args.update({name: values.get(name), "kind": kind})
+            if name in names:
+                assert getattr(PhaseSchedule(**args), name) == args[name]
+            else:
+                with pytest.raises(ConfigError, match=f"^a {kind} phase schedule takes no {name}$"):
+                    PhaseSchedule(**args)
+    # an explicit default says nothing new; a list equals the default tuple
+    defaults = dict(value=0.0, values=[], count=7, start=0.0, span=math.pi)
+    assert PhaseSchedule(kind="random", **defaults) == PhaseSchedule(kind="random")
 
 
 def test_schedule_with_as_many_settings_as_pulses_loads(tmp_path):

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import fields
 from functools import partial
 
 import numpy as np
@@ -525,6 +526,31 @@ class TestValidation:
             StateModel(kind="fock", n=n)
         with pytest.raises(ValueError, match="nonnegative integer"):
             StateModel.fock(n)
+
+    def test_a_state_takes_only_the_fields_its_kind_reads(self):
+        # written out here, not read from StateModel.KIND_FIELDS: 12 of the
+        # 24 (kind, field) pairs are settable
+        reads = {
+            "vacuum": {"kind", "efficiency"},
+            "coherent": {"kind", "efficiency", "alpha"},
+            "fock": {"kind", "efficiency", "n"},
+            "mixture": {"kind", "efficiency", "weights", "components"},
+        }
+        values = {"alpha": 0.5j, "n": 1, "weights": (1.0,), "components": (StateModel.fock(1),),
+                  "efficiency": 0.5}
+        base = {"mixture": {"weights": values["weights"], "components": values["components"]}}
+        for kind, names in reads.items():
+            for name in (f.name for f in fields(StateModel)):
+                args = {**base.get(kind, {}), name: values.get(name), "kind": kind}
+                if name in names:
+                    assert getattr(StateModel(**args), name) == args[name]
+                else:
+                    with pytest.raises(ValueError, match=f"^a {kind} state takes no {name}$"):
+                        StateModel(**args)
+        # an explicit default says nothing new; a list equals the default tuple
+        assert StateModel(kind="vacuum", alpha=0, n=0, weights=[], components=[]) == StateModel()
+        with pytest.raises(ValueError, match="^a fock state takes no alpha, weights$"):
+            StateModel(kind="fock", n=1, alpha=1.0, weights=[1.0])
 
     def test_mixture_realization(self):
         state = StateModel.mixture(
