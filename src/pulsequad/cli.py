@@ -107,8 +107,6 @@ __all__ = [
     "main",
 ]
 
-RUN_KINDS = ("characterize", "tomography", "trace-export")
-
 DEFAULT_N_PULSES = {"characterize": 40_000, "tomography": 10_000, "trace-export": 100}
 # the most float64 items one numpy array can describe (2**60 - 1 on 64 bits)
 MAX_N_PULSES = np.iinfo(np.intp).max // 8
@@ -227,6 +225,17 @@ class PhaseSchedule:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run of the CLI.  ``KIND_FIELDS`` names the sections each run
+    reads besides ``n_pulses``, ``seed`` and ``out_dir``; a section that
+    the run does not read must keep its default, or the constructor raises
+    ``ConfigError``."""
+
+    KIND_FIELDS = {
+        "characterize": ("detector",),
+        "tomography": ("detector", "state", "phases", "tomography"),
+        "trace-export": ("detector", "state", "phases"),  # sampled at the default cutoff
+    }
+
     run: str
     detector: DetectorConfig = field(default_factory=DetectorConfig)
     state: StateModel = field(default_factory=StateModel.vacuum)
@@ -239,15 +248,15 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.run not in RUN_KINDS:
             raise ConfigError(f"run must be one of {RUN_KINDS}")
+        _check_kind_fields(self, "run", ConfigError, ("n_pulses", "seed", "out_dir"), key="run")
         if self.n_pulses is None:
             object.__setattr__(self, "n_pulses", DEFAULT_N_PULSES[self.run])
         if self.n_pulses > MAX_N_PULSES:  # before any float is formed from it
             raise ConfigError(f"n_pulses must be at most {MAX_N_PULSES}")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
-        if self.run == "characterize":  # draws no phase schedule and samples no configured state
+        if self.run == "characterize":
             _check_battery_range(self.detector, self.n_pulses)
-            return
         if self.n_pulses < 1:
             raise ConfigError(f"n_pulses must be at least 1 for run {self.run!r}")
         if self.phases.settings > self.n_pulses:
@@ -255,12 +264,13 @@ class ExperimentConfig:
                 f"{self.phases.settings} phase settings need at least as many pulses,"
                 f" not {self.n_pulses}"
             )
-        # trace-export samples the state at DEFAULT_CUTOFF
-        cutoff = self.tomography.cutoff if self.run == "tomography" else DEFAULT_CUTOFF
         try:
-            state_density_matrix(self.state, cutoff)
+            state_density_matrix(self.state, self.tomography.cutoff)
         except ValueError as exc:  # a Fock state, or a mixture's, at or above the cutoff
             raise ConfigError(f"{self.run} state: {exc}") from None
+
+
+RUN_KINDS = tuple(ExperimentConfig.KIND_FIELDS)
 
 
 def _coerce(hint, value, where: str):

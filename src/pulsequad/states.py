@@ -23,7 +23,7 @@ for the next call with the same state and cutoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -74,17 +74,19 @@ _PHASE_FREE_TABLES: dict = {}
 _PHASE_FREE_LIMIT = 8
 
 
-def _check_kind_fields(obj, what: str, error, common=()) -> None:
-    """Raise ``error`` unless ``obj.kind`` is a key of ``obj.KIND_FIELDS`` and
-    each field of ``obj`` that its kind does not read keeps its default."""
-    if obj.kind not in obj.KIND_FIELDS:
-        raise error(f"unknown {what} kind {obj.kind!r}")
-    reads = ("kind", *common, *obj.KIND_FIELDS[obj.kind])
-    foreign = [
-        f.name for f in fields(obj) if f.name not in reads and getattr(obj, f.name) != f.default
-    ]
+def _check_kind_fields(obj, what: str, error, common=(), key="kind") -> None:
+    """Raise ``error`` unless the kind ``getattr(obj, key)`` is a key of
+    ``obj.KIND_FIELDS`` and each field of ``obj`` that its kind does not read
+    keeps its default, or its ``default_factory``'s value."""
+    kind = getattr(obj, key)
+    if kind not in obj.KIND_FIELDS:
+        raise error(f"unknown {what} kind {kind!r}")
+    reads = (key, *common, *obj.KIND_FIELDS[kind])
+    unread = [f for f in fields(obj) if f.name not in reads]
+    defaults = [f.default if f.default_factory is MISSING else f.default_factory() for f in unread]
+    foreign = [f.name for f, default in zip(unread, defaults) if getattr(obj, f.name) != default]
     if foreign:
-        raise error(f"a {obj.kind} {what} takes no {', '.join(foreign)}")
+        raise error(f"a {kind} {what} takes no {', '.join(foreign)}")
 
 
 @dataclass(frozen=True)

@@ -311,6 +311,19 @@ CONFIG_FAULTS = {
     "random phase values": {"phases": {"kind": "random", "values": [0.5]}},
     "phase list count": {"phases": {"kind": "list", "values": [0.5], "count": 3}},
     "sweep phase value": {"phases": {"kind": "sweep", "value": 1.0}},
+    # a section the run does not read: each was accepted and ignored, and
+    # trace-export refused a Fock 12 state at a cutoff of 10 it was not given
+    "characterize state": {"run": "characterize", "state": {"kind": "fock", "n": 12}},
+    "characterize sweep count 1e15": {
+        "run": "characterize",
+        "phases": {"kind": "sweep", "count": 10**15},
+    },
+    "characterize tomography": {"run": "characterize", "tomography": {"eta": 0.5}},
+    "trace-export tomography cutoff 13": {
+        "run": "trace-export",
+        "state": {"kind": "fock", "n": 12},
+        "tomography": {"cutoff": 13},
+    },
     # f_rep * ALLAN_BLOCK_S rounds to no pulse per Allan block, 0.5 included
     **{
         f"characterize f_rep {f_rep:g}": {
@@ -391,6 +404,10 @@ FAULT_QUANTITIES = {
     "random phase values": "a random phase schedule takes no values",
     "phase list count": "a list phase schedule takes no count",
     "sweep phase value": "a sweep phase schedule takes no value",
+    "characterize state": "config error: a characterize run takes no state\n",
+    "characterize sweep count 1e15": "config error: a characterize run takes no phases\n",
+    "characterize tomography": "config error: a characterize run takes no tomography\n",
+    "trace-export tomography cutoff 13": "config error: a trace-export run takes no tomography\n",
 }
 
 
@@ -487,12 +504,52 @@ def test_a_schedule_takes_only_the_fields_its_kind_reads():
 
 
 def test_schedule_with_as_many_settings_as_pulses_loads(tmp_path):
-    # as many settings as pulses is the most a schedule may have; characterize
-    # draws no schedule, so it takes any
-    for run, n_pulses in (("tomography", 200), ("trace-export", 200), ("characterize", 2000)):
-        phases = {"kind": "sweep", "count": 200 if run != "characterize" else 10**15}
-        path = write_config(tmp_path, {"run": run, "n_pulses": n_pulses, "phases": phases})
+    # as many settings as pulses is the most a schedule may have
+    phases = {"kind": "sweep", "count": 200}
+    for run in ("tomography", "trace-export"):
+        path = write_config(tmp_path, {"run": run, "n_pulses": 200, "phases": phases})
         assert load_config(path).phases.settings == phases["count"]
+    # characterize draws no schedule, so it takes none, of any size
+    phases = {"kind": "sweep", "count": 10**15}
+    path = write_config(tmp_path, {"run": "characterize", "n_pulses": 2000, "phases": phases})
+    with pytest.raises(ConfigError, match="^a characterize run takes no phases$"):
+        load_config(path)
+
+
+def test_a_run_takes_only_the_sections_it_reads(tmp_path):
+    # written out here, not read from ExperimentConfig.KIND_FIELDS: 17 of the
+    # 21 (run, field) pairs besides run are settable
+    common = {"detector", "n_pulses", "seed", "out_dir"}
+    reads = {
+        "characterize": common,
+        "tomography": common | {"state", "phases", "tomography"},
+        "trace-export": common | {"state", "phases"},
+    }
+    values = {
+        "detector": DetectorConfig(eta_pd=0.8),
+        "state": StateModel.coherent(0.5),
+        "phases": PhaseSchedule(kind="random"),
+        "n_pulses": 2000,
+        "seed": 3,
+        "out_dir": "elsewhere",
+        "tomography": TomographyOptions(eta=0.5),
+    }
+    assert [f.name for f in fields(ExperimentConfig)] == ["run", *values]
+    for run, names in reads.items():
+        for name, value in values.items():
+            if name in names:
+                assert getattr(ExperimentConfig(run=run, **{name: value}), name) == value
+            else:
+                with pytest.raises(ConfigError, match=f"^a {run} run takes no {name}$"):
+                    ExperimentConfig(run=run, **{name: value})
+        # an explicit default says nothing new
+        doc = {"run": run, "state": {"kind": "vacuum"}, "phases": {}, "tomography": {"cutoff": 10}}
+        assert load_config(write_config(tmp_path, doc)) == ExperimentConfig(run=run)
+    # every section the run does not read is named, in field order
+    unread = {name: values[name] for name in ("tomography", "phases", "state")}
+    message = "^a characterize run takes no state, phases, tomography$"
+    with pytest.raises(ConfigError, match=message):
+        ExperimentConfig(run="characterize", **unread)
 
 
 # d * theta overflowed in the harmonic factors, and each of these exited 3
@@ -733,12 +790,20 @@ class TestTomographyRun:
 
     def test_fock_cutoff_checked_only_where_a_state_is_sampled(self, tmp_path):
         state = {"kind": "fock", "n": 12}
-        path = write_config(tmp_path, {"run": "characterize", "state": state})
-        assert load_config(path).state == StateModel.fock(12)
         path = write_config(
             tmp_path, {"run": "tomography", "state": state, "tomography": {"cutoff": 13}}
         )
         assert load_config(path).tomography.cutoff == 13
+        # characterize samples no configured state, and trace-export samples
+        # at the default cutoff: neither takes the section it would ignore
+        path = write_config(tmp_path, {"run": "characterize", "state": state})
+        with pytest.raises(ConfigError, match="^a characterize run takes no state$"):
+            load_config(path)
+        path = write_config(
+            tmp_path, {"run": "trace-export", "state": state, "tomography": {"cutoff": 13}}
+        )
+        with pytest.raises(ConfigError, match="^a trace-export run takes no tomography$"):
+            load_config(path)
 
     @pytest.mark.parametrize("cutoff, code", [(20, 0), (21, 2)])
     def test_cutoff_bounded_by_the_sampling_grid(self, tmp_path, capsys, cutoff, code):
