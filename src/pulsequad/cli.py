@@ -139,6 +139,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class TomographyOptions:
+    """How a tomography run samples and reconstructs, passed whole to :func:`mle_reconstruct`:
+    ``cutoff`` in ``[2, 20]``, the Fock cutoff of sampling and reconstruction;
+    ``bin_width`` in ``(16 / 2**53, 16]``, so bin indices across the ``[-8, 8]``
+    sampling grid stay exact integers and no bin is wider than that grid; ``tol``,
+    positive and finite, the relative log-likelihood gain at which a step has
+    stalled; ``max_iter``, at least 1, the most steps taken; and ``eta`` in
+    ``(0, 1]``, the detection efficiency the samples include and the POVM corrects."""
+
     cutoff: int = DEFAULT_CUTOFF
     bin_width: float = 0.1
     tol: float = 1e-9
@@ -228,11 +236,12 @@ class ExperimentConfig:
     """One run of the CLI.  ``KIND_FIELDS`` names the sections each run
     reads besides ``n_pulses``, ``seed`` and ``out_dir``; a section that
     the run does not read must keep its default, or the constructor raises
-    ``ConfigError``."""
+    ``ConfigError``.  Tomography samples quadratures, not traces, so it
+    takes no detector."""
 
     KIND_FIELDS = {
         "characterize": ("detector",),
-        "tomography": ("detector", "state", "phases", "tomography"),
+        "tomography": ("state", "phases", "tomography"),
         "trace-export": ("detector", "state", "phases"),  # sampled at the default cutoff
     }
 
@@ -638,19 +647,19 @@ def run_tomography(config: ExperimentConfig) -> dict:
     The tomography ``eta`` plays both of its physical roles: the sampled
     data include detection loss at ``eta``, and the reconstruction POVM
     corrects for it, so the returned state estimates the signal before the
-    detector.
+    detector.  A vacuum, which loss maps to itself, is sampled as it is.
+    ``samples.csv`` stamps pulse ``k`` at ``k / 80 MHz``, the default
+    detector's repetition rate.
     """
     out = _prepare_out_dir(config)
     opts = config.tomography
     n = config.n_pulses
     phases = config.phases.realize(n, _seeded_rng(config.seed, 0))
-    sampled_state = replace(
-        config.state, efficiency=config.state.efficiency * opts.eta
-    )
-    batch = sample_quadratures(
-        sampled_state, phases, n, _child_seed(config.seed, 1), cutoff=opts.cutoff
-    )
-    batch = replace(batch, timestamps=np.arange(n) / config.detector.f_rep)
+    state = config.state
+    if "efficiency" in StateModel.KIND_FIELDS[state.kind]:
+        state = replace(state, efficiency=state.efficiency * opts.eta)
+    batch = sample_quadratures(state, phases, n, _child_seed(config.seed, 1), cutoff=opts.cutoff)
+    batch = replace(batch, timestamps=np.arange(n) / DetectorConfig.f_rep)
     result = mle_reconstruct(batch, **asdict(opts))  # its fields are the parameters
     rho = result.rho
     axis = np.linspace(-WIGNER_HALFSPAN, WIGNER_HALFSPAN, WIGNER_POINTS)

@@ -137,15 +137,15 @@ class StateModel:
     ``kind`` is one of ``vacuum``, ``coherent``, ``fock`` or ``mixture``, and
     ``KIND_FIELDS`` names the fields each kind reads; a field that only
     another kind reads must keep its default, or the constructor raises
-    ``ValueError``.  Every kind reads ``efficiency``, applied as a
-    photon-loss channel when the state is realized as a density matrix.
+    ``ValueError``.  ``efficiency`` is a photon-loss channel applied when the
+    state is realized; loss maps the vacuum to itself, so a vacuum takes none.
     """
 
     KIND_FIELDS = {
         "vacuum": (),
-        "coherent": ("alpha",),
-        "fock": ("n",),
-        "mixture": ("weights", "components"),
+        "coherent": ("alpha", "efficiency"),
+        "fock": ("n", "efficiency"),
+        "mixture": ("weights", "components", "efficiency"),
     }
 
     kind: str = "vacuum"
@@ -159,7 +159,7 @@ class StateModel:
         # tuples keep a state hashable: the sampler keys its tables on it
         object.__setattr__(self, "weights", tuple(self.weights))
         object.__setattr__(self, "components", tuple(self.components))
-        _check_kind_fields(self, "state", ValueError, common=("efficiency",))
+        _check_kind_fields(self, "state", ValueError)
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
         if not np.isfinite(self.alpha):

@@ -35,6 +35,7 @@ from pulsequad.cli import (
     load_config,
     main,
     run_characterize,
+    run_tomography,
     run_trace_export,
 )
 from pulsequad.detector import (
@@ -161,7 +162,7 @@ class TestConfigParsing:
         path = write_config(
             tmp_path,
             {
-                "run": "tomography",
+                "run": "trace-export",
                 "n_pulses": 1e5,
                 "detector": {"f_rep": 80_000_000, "drift": {"linear_rate": 0}},
                 "state": {"kind": "coherent", "alpha": 1},
@@ -236,17 +237,17 @@ CONFIG_FAULTS = {
     "n_pulses string": {"n_pulses": "x"},
     "phase list string": {"phases": {"kind": "list", "values": ["a"]}},
     "efficiency string": {"state": {"efficiency": "x"}},
-    "detector list": {"detector": [1, 2]},
+    "detector list": {"run": "trace-export", "detector": [1, 2]},
     "state list": {"state": [1]},
     "phases list": {"phases": [1]},
-    "drift list": {"detector": {"drift": [1]}},
-    "gain overflow": {"detector": {"gain": 1e308}},
+    "drift list": {"run": "trace-export", "detector": {"drift": [1]}},
+    "gain overflow": {"run": "trace-export", "detector": {"gain": 1e308}},
     "fractional cutoff": {"tomography": {"cutoff": 4.5}},
     "fractional max_iter": {"tomography": {"max_iter": 5.5}},
     "phase value string": {"phases": {"value": "x"}},
-    "huge LO power": {"detector": {"p_lo": 1e300}},
-    "NaN CMRR": {"detector": {"cmrr_db": math.nan}},
-    "negative infinite CMRR": {"detector": {"cmrr_db": -math.inf}},
+    "huge LO power": {"run": "trace-export", "detector": {"p_lo": 1e300}},
+    "NaN CMRR": {"run": "trace-export", "detector": {"cmrr_db": math.nan}},
+    "negative infinite CMRR": {"run": "trace-export", "detector": {"cmrr_db": -math.inf}},
     "fractional seed": {"seed": 3.7},
     "fractional sweep count": {"phases": {"kind": "sweep", "count": 2.5}},
     "negative seed": {"seed": -1},
@@ -289,9 +290,12 @@ CONFIG_FAULTS = {
     "empty phase list": {"phases": {"kind": "list", "values": []}},
     "sweep count 0": {"phases": {"kind": "sweep", "count": 0}},
     "NaN phase": {"phases": {"kind": "list", "values": [0.5, math.nan]}},
-    "negative electronic noise": {"detector": {"elec_noise_area_var": -1e-22}},
+    "negative electronic noise": {
+        "run": "trace-export",
+        "detector": {"elec_noise_area_var": -1e-22},
+    },
     "unknown state kind": {"state": {"kind": "squeezed"}},
-    "state efficiency above 1": {"state": {"efficiency": 1.5}},
+    "state efficiency above 1": {"state": {"kind": "coherent", "alpha": 0.5, "efficiency": 1.5}},
     "NaN alpha": {"state": {"kind": "coherent", "alpha": math.nan}},
     "mixture with more weights than components": {
         "state": {"kind": "mixture", "weights": [0.5, 0.5], "components": [{"kind": "vacuum"}]},
@@ -323,6 +327,22 @@ CONFIG_FAULTS = {
         "run": "trace-export",
         "state": {"kind": "fock", "n": 12},
         "tomography": {"cutoff": 13},
+    },
+    # a limit of trace synthesis, which tomography never does: 76 MHz at the
+    # default 2 GS/s is no whole number of samples per period
+    "tomography f_rep 76 MHz": {"detector": {"f_rep": 76e6}},
+    # loss maps a vacuum to itself: the trace was byte-identical, and tomography
+    # reported a null fidelity for a sampled state that was exactly the vacuum
+    "trace-export vacuum efficiency 0.5": {
+        "run": "trace-export",
+        "state": {"kind": "vacuum", "efficiency": 0.5},
+    },
+    "mixture vacuum component efficiency": {
+        "state": {
+            "kind": "mixture",
+            "weights": [0.5, 0.5],
+            "components": [{"kind": "fock", "n": 1}, {"kind": "vacuum", "efficiency": 0.5}],
+        },
     },
     # f_rep * ALLAN_BLOCK_S rounds to no pulse per Allan block, 0.5 included
     **{
@@ -408,6 +428,10 @@ FAULT_QUANTITIES = {
     "characterize sweep count 1e15": "config error: a characterize run takes no phases\n",
     "characterize tomography": "config error: a characterize run takes no tomography\n",
     "trace-export tomography cutoff 13": "config error: a trace-export run takes no tomography\n",
+    "trace-export vacuum efficiency 0.5": "invalid config.state: a vacuum state takes no efficiency",
+    "mixture vacuum component efficiency": (
+        "invalid config.state.components[1]: a vacuum state takes no efficiency"
+    ),
 }
 
 
@@ -517,13 +541,13 @@ def test_schedule_with_as_many_settings_as_pulses_loads(tmp_path):
 
 
 def test_a_run_takes_only_the_sections_it_reads(tmp_path):
-    # written out here, not read from ExperimentConfig.KIND_FIELDS: 17 of the
+    # written out here, not read from ExperimentConfig.KIND_FIELDS: 16 of the
     # 21 (run, field) pairs besides run are settable
-    common = {"detector", "n_pulses", "seed", "out_dir"}
+    common = {"n_pulses", "seed", "out_dir"}
     reads = {
-        "characterize": common,
+        "characterize": common | {"detector"},
         "tomography": common | {"state", "phases", "tomography"},
-        "trace-export": common | {"state", "phases"},
+        "trace-export": common | {"detector", "state", "phases"},
     }
     values = {
         "detector": DetectorConfig(eta_pd=0.8),
@@ -543,7 +567,8 @@ def test_a_run_takes_only_the_sections_it_reads(tmp_path):
                 with pytest.raises(ConfigError, match=f"^a {run} run takes no {name}$"):
                     ExperimentConfig(run=run, **{name: value})
         # an explicit default says nothing new
-        doc = {"run": run, "state": {"kind": "vacuum"}, "phases": {}, "tomography": {"cutoff": 10}}
+        doc = {"run": run, "detector": {"f_rep": 80e6}, "state": {"kind": "vacuum"}, "phases": {},
+               "tomography": {"cutoff": 10}}
         assert load_config(write_config(tmp_path, doc)) == ExperimentConfig(run=run)
     # every section the run does not read is named, in field order
     unread = {name: values[name] for name in ("tomography", "phases", "state")}
@@ -777,6 +802,22 @@ class TestTomographyRun:
         assert main(["tomography", "--config", path]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["fidelity"] is None
+
+    def test_vacuum_is_sampled_lossless_at_any_eta(self, tmp_path):
+        # loss maps a vacuum to itself, so none is composed into it: the run
+        # samples and reconstructs, and the declared state stays pure
+        config = ExperimentConfig(
+            run="tomography",
+            n_pulses=2000,
+            out_dir=str(tmp_path),
+            phases=PhaseSchedule(kind="random"),
+            tomography=TomographyOptions(cutoff=4, eta=0.86),
+        )
+        summary = run_tomography(config)
+        assert summary["fidelity"] > 0.99
+        assert sorted(os.listdir(tmp_path)) == [
+            "photon_stats.csv", "rho.csv", "samples.csv", "summary.json", "wigner.csv"
+        ]
 
     def test_runtime_failure_exit_code(self, tmp_path, capsys, monkeypatch):
         # a valid config whose run fails: one stderr line, no traceback

@@ -528,10 +528,10 @@ class TestValidation:
             StateModel.fock(n)
 
     def test_a_state_takes_only_the_fields_its_kind_reads(self):
-        # written out here, not read from StateModel.KIND_FIELDS: 12 of the
-        # 24 (kind, field) pairs are settable
+        # written out here, not read from StateModel.KIND_FIELDS: 11 of the
+        # 24 (kind, field) pairs are settable; loss maps a vacuum to itself
         reads = {
-            "vacuum": {"kind", "efficiency"},
+            "vacuum": {"kind"},
             "coherent": {"kind", "efficiency", "alpha"},
             "fock": {"kind", "efficiency", "n"},
             "mixture": {"kind", "efficiency", "weights", "components"},
@@ -551,6 +551,8 @@ class TestValidation:
         assert StateModel(kind="vacuum", alpha=0, n=0, weights=[], components=[]) == StateModel()
         with pytest.raises(ValueError, match="^a fock state takes no alpha, weights$"):
             StateModel(kind="fock", n=1, alpha=1.0, weights=[1.0])
+        # a vacuum's efficiency at its default is no loss, and is accepted
+        assert StateModel(kind="vacuum", efficiency=1.0) == StateModel.vacuum()
 
     def test_mixture_realization(self):
         state = StateModel.mixture(
